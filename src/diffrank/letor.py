@@ -151,20 +151,30 @@ def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
                     raise ParseError(f"duplicate feature id {fid}", path, lineno)
                 feats[fid] = val
                 max_fid = max(max_fid, fid)
-            rows.append((label, qid, feats))
+            rows.append((label, qid, feats, lineno))
     if not rows:
         raise DataError(f"no documents found in {path}")
     k = max(max_fid, k_hint or 0)
     if k == 0:
         raise DataError(f"no features found in {path}")
 
-    groups: dict[int, QueryGroup] = {}
-    for doc_index, (label, qid, feats) in enumerate(rows):
-        dense = np.zeros(k, dtype=np.float64)
+    matrix = np.zeros((len(rows), k), dtype=np.float64)
+    for doc_index, (_, _, feats, _) in enumerate(rows):
+        dense = matrix[doc_index]
         for fid, val in feats.items():
             dense[fid - 1] = val
-        dense.setflags(write=False)
-        doc = Document(qid=qid, label=label, features=dense, doc_index=doc_index)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        doc_index, col = np.argwhere(~finite)[0]
+        lineno = rows[doc_index][3]
+        raise ValidationError(
+            f"feature {col + 1} is {matrix[doc_index, col]} at {path}:{lineno}; "
+            "feature values must be finite"
+        )
+    matrix.setflags(write=False)
+    groups: dict[int, QueryGroup] = {}
+    for doc_index, (label, qid, _, _) in enumerate(rows):
+        doc = Document(qid=qid, label=label, features=matrix[doc_index], doc_index=doc_index)
         if qid not in groups:
             groups[qid] = QueryGroup(qid=qid, docs=[])
         groups[qid].docs.append(doc)

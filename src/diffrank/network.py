@@ -42,6 +42,7 @@ from .schedule import ScheduleSpec
 
 _CKPT_MAGIC = b"DRCKPTF\x00"
 _CKPT_VERSION = 1
+_CKPT_HEADER_KEYS = ("model", "schedule", "dtype", "params")
 
 ATTENTION_MASK_BIAS = -1e9
 
@@ -58,6 +59,10 @@ class ModelConfig:
     num_grades: int = 5
 
     def __post_init__(self):
+        for name in ("k", "d_model", "heads", "blocks", "denoise_layers", "num_grades"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.d_model < 1:
@@ -90,6 +95,41 @@ def sinusoidal_embedding(t: int, d: int) -> np.ndarray:
     return emb.reshape(1, d)
 
 
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter, in initialization order.
+
+    Linear layers own `<name>.w` (fan_in, fan_out) and `<name>.b`
+    (1, fan_out); layer norms own `<name>.g` and `<name>.b` (1, width).
+    """
+    shapes: dict[str, tuple[int, int]] = {}
+
+    def linear_pair(name: str, fan_in: int, fan_out: int):
+        shapes[f"{name}.w"] = (fan_in, fan_out)
+        shapes[f"{name}.b"] = (1, fan_out)
+
+    def norm_pair(name: str, width: int):
+        shapes[f"{name}.g"] = (1, width)
+        shapes[f"{name}.b"] = (1, width)
+
+    d = cfg.d_model
+    linear_pair("proj", cfg.k, d)
+    for i in range(cfg.blocks):
+        if cfg.use_attention:
+            norm_pair(f"enc{i}.ln1", d)
+            for part in ("wq", "wk", "wv", "wo"):
+                linear_pair(f"enc{i}.attn.{part}", d, d)
+        norm_pair(f"enc{i}.ln2", d)
+        linear_pair(f"enc{i}.ffn.l1", d, 4 * d)
+        linear_pair(f"enc{i}.ffn.l2", 4 * d, d)
+    norm_pair("enc_out.ln", d)
+    linear_pair("temb", d, d)
+    for j in range(cfg.denoise_layers):
+        fan_in = d + 1 if j == 0 else d
+        fan_out = cfg.num_grades if j == cfg.denoise_layers - 1 else d
+        linear_pair(f"den{j}", fan_in, fan_out)
+    return shapes
+
+
 class DenoiseModel:
     def __init__(
         self,
@@ -108,43 +148,16 @@ class DenoiseModel:
 
     def _init_params(self, seed) -> dict[str, Tensor]:
         rng = np.random.default_rng(seed)
-        cfg = self.config
         params: dict[str, Tensor] = {}
-
-        def linear_pair(name: str, fan_in: int, fan_out: int):
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            params[f"{name}.w"] = Tensor(
-                rng.normal(0.0, std, size=(fan_in, fan_out)).astype(self.dtype),
-                requires_grad=True,
-            )
-            params[f"{name}.b"] = Tensor(
-                np.zeros((1, fan_out), dtype=self.dtype), requires_grad=True
-            )
-
-        def norm_pair(name: str, width: int):
-            params[f"{name}.g"] = Tensor(
-                np.ones((1, width), dtype=self.dtype), requires_grad=True
-            )
-            params[f"{name}.b"] = Tensor(
-                np.zeros((1, width), dtype=self.dtype), requires_grad=True
-            )
-
-        d = cfg.d_model
-        linear_pair("proj", cfg.k, d)
-        for i in range(cfg.blocks):
-            if cfg.use_attention:
-                norm_pair(f"enc{i}.ln1", d)
-                for part in ("wq", "wk", "wv", "wo"):
-                    linear_pair(f"enc{i}.attn.{part}", d, d)
-            norm_pair(f"enc{i}.ln2", d)
-            linear_pair(f"enc{i}.ffn.l1", d, 4 * d)
-            linear_pair(f"enc{i}.ffn.l2", 4 * d, d)
-        norm_pair("enc_out.ln", d)
-        linear_pair("temb", d, d)
-        for j in range(cfg.denoise_layers):
-            fan_in = d + 1 if j == 0 else d
-            fan_out = cfg.num_grades if j == cfg.denoise_layers - 1 else d
-            linear_pair(f"den{j}", fan_in, fan_out)
+        for name, shape in _param_shapes(self.config).items():
+            if name.endswith(".w"):
+                std = math.sqrt(2.0 / sum(shape))
+                arr = rng.normal(0.0, std, size=shape).astype(self.dtype)
+            elif name.endswith(".g"):
+                arr = np.ones(shape, dtype=self.dtype)
+            else:
+                arr = np.zeros(shape, dtype=self.dtype)
+            params[name] = Tensor(arr, requires_grad=True)
         return params
 
     def parameters(self) -> list[Tensor]:
@@ -294,6 +307,24 @@ def save_checkpoint(model: DenoiseModel, path: str) -> None:
             fh.write(np.ascontiguousarray(model.params[n].data).tobytes())
 
 
+def _manifest(manifest, expected: dict[str, tuple[int, int]], path: str):
+    """(name, shape) pairs in blob order, checked against the parameters
+    the header's model config implies."""
+    try:
+        entries = [(str(e["name"]), tuple(e["shape"])) for e in manifest]
+    except (TypeError, KeyError) as e:
+        raise CacheCorruptionError(
+            f"checkpoint {path} has a malformed parameter manifest"
+        ) from e
+    stored = dict(entries)
+    if len(stored) != len(entries) or stored != expected:
+        raise CacheCorruptionError(
+            f"checkpoint {path} manifest ({len(entries)} entries) does not match "
+            f"the {len(expected)} parameters its model config implies"
+        )
+    return [(name, expected[name]) for name, _ in entries]
+
+
 def load_checkpoint(path: str, expected_config: ModelConfig | None = None) -> DenoiseModel:
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -316,7 +347,26 @@ def load_checkpoint(path: str, expected_config: ModelConfig | None = None) -> De
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CacheCorruptionError(f"checkpoint {path} header is unreadable") from e
     off += header_len
-    config = ModelConfig(**header["model"])
+    if not isinstance(header, dict):
+        raise CacheCorruptionError(f"checkpoint {path} header is not a JSON object")
+    missing = [key for key in _CKPT_HEADER_KEYS if key not in header]
+    if missing:
+        raise CacheCorruptionError(
+            f"checkpoint {path} header lacks {', '.join(missing)}"
+        )
+    try:
+        config = ModelConfig(**header["model"])
+        schedule = ScheduleSpec(**header["schedule"])
+        dtype = np.dtype(header["dtype"])
+    except (TypeError, ValueError, ConfigError) as e:
+        raise IncompatibilityError(
+            f"checkpoint {path} header does not describe a model this reader "
+            f"can build: {e}"
+        ) from e
+    if not np.issubdtype(dtype, np.floating):
+        raise IncompatibilityError(
+            f"checkpoint {path} stores {dtype.name} parameters, expected floats"
+        )
     if expected_config is not None and config != expected_config:
         diffs = [
             f"{field}: checkpoint={getattr(config, field)!r} expected={getattr(expected_config, field)!r}"
@@ -326,17 +376,13 @@ def load_checkpoint(path: str, expected_config: ModelConfig | None = None) -> De
         raise IncompatibilityError(
             f"checkpoint {path} does not match the requested model: " + "; ".join(diffs)
         )
-    schedule = ScheduleSpec(**header["schedule"])
-    dtype = np.dtype(header["dtype"])
     params: dict[str, Tensor] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
+    for name, shape in _manifest(header["params"], _param_shapes(config), path):
+        nbytes = int(np.prod(shape)) * dtype.itemsize
         if off + nbytes > len(buf):
             raise CacheCorruptionError(f"checkpoint {path} is truncated")
         arr = np.frombuffer(buf[off : off + nbytes], dtype=dtype).reshape(shape).copy()
-        params[entry["name"]] = Tensor(arr, requires_grad=True)
+        params[name] = Tensor(arr, requires_grad=True)
         off += nbytes
     if off != len(buf):
         raise CacheCorruptionError(f"checkpoint {path} has {len(buf) - off} trailing bytes")

@@ -12,6 +12,11 @@ uniformly spaced subset of timesteps and re-deriving the posterior
 coefficients for the visited subsequence from cumulative
 signal-retention ratios, so the marginal noise level at each visited
 step is unchanged.
+
+The encoder sees only the document features, so a query is encoded once
+per reverse process and each visited step costs one call to the denoise
+head. Repeated runs of one query share that encoding and advance as one
+stacked batch of chains, each drawing from its own generator.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, IncompatibilityError, NumericError
+from .metrics import ranking_order
 from .network import DenoiseModel
 from .schedule import ScheduleTable, posterior, strided_table
 
@@ -30,18 +36,12 @@ from .schedule import ScheduleTable, posterior, strided_table
 class SamplerConfig:
     reverse_steps: int
     seed: int = 0
-    deterministic_final: bool = True
     zero_variance: bool = False
 
     def __post_init__(self):
         if self.reverse_steps < 1:
             raise ConfigError(
                 f"reverse_steps must be >= 1, got {self.reverse_steps}"
-            )
-        if not self.deterministic_final:
-            raise ConfigError(
-                "the final reverse step never adds noise; deterministic_final "
-                "cannot be disabled"
             )
 
 
@@ -71,10 +71,6 @@ def stride_schedule(timesteps: int, reverse_steps: int) -> list[int]:
     return visited
 
 
-def _ranking_order(scores: np.ndarray) -> np.ndarray:
-    return np.lexsort((np.arange(scores.size), -scores))
-
-
 def _check_compatible(model: DenoiseModel, table: ScheduleTable) -> None:
     spec = model.schedule
     if table.kind != spec.kind or table.timesteps != spec.timesteps:
@@ -82,6 +78,50 @@ def _check_compatible(model: DenoiseModel, table: ScheduleTable) -> None:
             f"model was trained with schedule {spec.kind}/T={spec.timesteps}, "
             f"sampler was given {table.kind}/T={table.timesteps}"
         )
+
+
+def _reverse(
+    model: DenoiseModel,
+    features: np.ndarray,
+    table: ScheduleTable,
+    cfg: SamplerConfig,
+    rngs: list[np.random.Generator],
+    y_init: np.ndarray | None = None,
+) -> np.ndarray:
+    """Run one reverse chain per generator on one query; (M, n) scores.
+
+    The documents are encoded once. The M chains share that context,
+    tiled to M*n rows, so each visited step is one denoise call. Chain m
+    draws only from rngs[m]: its starting noise, then one draw per
+    non-final step.
+    """
+    _check_compatible(model, table)
+    visited = stride_schedule(table.timesteps, cfg.reverse_steps)
+    effective = strided_table(table, list(reversed(visited)))
+    features = np.asarray(features)
+    n, m = features.shape[0], len(rngs)
+    if y_init is None:
+        y = np.stack([rng.standard_normal(n) for rng in rngs])
+    else:
+        y = np.asarray(y_init, dtype=np.float64).reshape(m, n).copy()
+    steps = len(visited)
+    with ad.no_grad():
+        context = model.encode(features)
+        if m > 1:
+            context = ad.Tensor(np.tile(context.data, (m, 1)))
+        for j in range(steps, 0, -1):
+            y_hat = model.denoise(context, y, t=visited[steps - j]).data
+            y_hat = np.asarray(y_hat, dtype=np.float64).reshape(m, n)
+            if j > 1:
+                mean, var = posterior(y, y_hat, j, effective)
+                if cfg.zero_variance:
+                    y = mean
+                else:
+                    noise = np.stack([rng.standard_normal(n) for rng in rngs])
+                    y = mean + np.sqrt(var) * noise
+    if not np.all(np.isfinite(y_hat)):
+        raise NumericError("reverse process produced non-finite scores")
+    return y_hat
 
 
 def rank_query(
@@ -93,33 +133,10 @@ def rank_query(
     y_init: np.ndarray | None = None,
 ) -> RankOutput:
     """Run the reverse process on one query list and rank its documents."""
-    _check_compatible(model, table)
-    visited = stride_schedule(table.timesteps, cfg.reverse_steps)
-    effective = strided_table(table, list(reversed(visited)))
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    features = np.asarray(features)
-    n = features.shape[0]
-    if y_init is None:
-        y = rng.standard_normal(n)
-    else:
-        y = np.asarray(y_init, dtype=np.float64).reshape(n).copy()
-    steps = len(visited)
-    with ad.no_grad():
-        y_hat = None
-        for j in range(steps, 0, -1):
-            t_orig = visited[steps - j]
-            y_hat = model.predict_y0(features, y, t=t_orig).data.reshape(n)
-            if j > 1:
-                mean, var = posterior(y, np.asarray(y_hat, dtype=np.float64), j, effective)
-                if cfg.zero_variance:
-                    y = mean
-                else:
-                    y = mean + np.sqrt(var) * rng.standard_normal(n)
-    scores = np.asarray(y_hat, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("reverse process produced non-finite scores")
-    return RankOutput(scores=scores, order=_ranking_order(scores))
+    scores = _reverse(model, features, table, cfg, [rng], y_init)[0]
+    return RankOutput(scores=scores, order=ranking_order(scores))
 
 
 def rank_query_repeated(
@@ -129,11 +146,13 @@ def rank_query_repeated(
     cfg: SamplerConfig,
     repeats: int,
 ) -> list[RankOutput]:
-    """Independent repeated rankings with per-run child RNG streams."""
+    """Independent repeated rankings with per-run child RNG streams, run as
+    one stacked batch of chains."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     children = np.random.SeedSequence(cfg.seed).spawn(repeats)
+    rngs = [np.random.default_rng(child) for child in children]
     return [
-        rank_query(model, features, table, cfg, rng=np.random.default_rng(child))
-        for child in children
+        RankOutput(scores=scores, order=ranking_order(scores))
+        for scores in _reverse(model, features, table, cfg, rngs)
     ]

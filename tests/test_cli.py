@@ -8,7 +8,9 @@ contract; one subprocess test covers the installed entry point.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -375,6 +377,45 @@ def test_infer_emits_permutations(workspace, tmp_path):
         "--set", "reverse_steps=4",
     ]) == 0
     assert rerun.read_bytes() == out.read_bytes()
+
+
+def _rewrite_checkpoint_header(src, dst, edit, keep_blobs=True):
+    """Copy a checkpoint, passing its JSON header through edit()."""
+    buf = src.read_bytes()
+    magic = buf[:8]
+    version, header_len = struct.unpack_from("<IQ", buf, 8)
+    start = 8 + struct.calcsize("<IQ")
+    header = json.loads(buf[start : start + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blobs = buf[start + header_len :] if keep_blobs else b""
+    dst.write_bytes(magic + struct.pack("<IQ", version, len(blob)) + blob + blobs)
+
+
+@pytest.mark.parametrize(
+    "edit,keep_blobs,fragment",
+    [
+        (lambda h: h.pop("model"), True, "lacks model"),
+        (lambda h: h["model"].update(width=3), True, "width"),
+        (lambda h: h["model"].update(d_model=16.0), True, "integer"),
+        (lambda h: h.update(params=[]), False, "0 entries"),
+        (lambda h: h["params"][0].update(shape=[2, 2]), True, "implies"),
+    ],
+    ids=["no-model", "unknown-model-key", "float-width", "empty-manifest", "wrong-shape"],
+)
+def test_malformed_checkpoint_header_exits_3(
+    workspace, tmp_path, capsys, edit, keep_blobs, fragment
+):
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_checkpoint_header(workspace["checkpoint"], bad, edit, keep_blobs)
+    code = cli.main([
+        "infer",
+        "--checkpoint", str(bad),
+        "--cache", str(workspace["test_cache"]),
+        "--out", str(tmp_path / "rankings.csv"),
+    ])
+    assert code == 3
+    assert fragment in capsys.readouterr().err
 
 
 def _diversity(workspace, out_path, extra=()):

@@ -81,6 +81,14 @@ class TestParsing:
         with pytest.raises(ValidationError):
             letor.parse_letor(str(p))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_names_location(self, tmp_path, value):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# header\n1 qid:1 1:1.0\n2 qid:1 1:0.5 2:{value}\n")
+        with pytest.raises(ValidationError) as exc:
+            letor.parse_letor(str(p))
+        assert "bad.txt:3" in str(exc.value) and "feature 2" in str(exc.value)
+
     def test_malformed_line_names_location(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 qid:1 1:1.0\n1 qid:2 oops\n")
