@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -61,8 +62,9 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("k", "d_model", "heads", "blocks", "denoise_layers", "num_grades"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.k < 1:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.d_model < 1:

@@ -106,9 +106,7 @@ def _reverse(
         y = np.asarray(y_init, dtype=np.float64).reshape(m, n).copy()
     steps = len(visited)
     with ad.no_grad():
-        context = model.encode(features)
-        if m > 1:
-            context = ad.Tensor(np.tile(context.data, (m, 1)))
+        context = ad.Tensor(np.tile(model.encode(features).data, (m, 1)))
         for j in range(steps, 0, -1):
             y_hat = model.denoise(context, y, t=visited[steps - j]).data
             y_hat = np.asarray(y_hat, dtype=np.float64).reshape(m, n)

@@ -406,27 +406,43 @@ def test_criterion_06_ranking_diversity_contract(overfit_run):
 def test_criterion_07_stride_robustness(overfit_run):
     model, table = overfit_run["model"], overfit_run["table"]
     heldout = overfit_run["heldout"]
+    labels = [group.labels() for group in heldout.groups]
+    children = np.random.SeedSequence(7).spawn(len(heldout.groups))
 
-    def measure(steps):
-        config = SamplerConfig(reverse_steps=steps, seed=123)
-        children = np.random.SeedSequence(7).spawn(len(heldout.groups))
-        orders, labels = [], []
-        start = time.perf_counter()
+    def ndcg10(orders):
+        return evaluate_rankings(labels, orders, cutoffs=(10,)).values["ndcg"][10]
+
+    full = SamplerConfig(reverse_steps=table.timesteps, seed=123)
+    full_value = ndcg10([
+        rank_query(model, group.feature_matrix(), table, full,
+                   rng=np.random.default_rng(child)).order
+        for group, child in zip(heldout.groups, children)
+    ])
+
+    # A query is encoded once and then costs one denoise call per step, so
+    # 2 and 4 steps differ by two denoise calls, about an eighth of a query,
+    # while the machine's speed can swing by more than that within a second.
+    # The step counts therefore take turns on every query, over three rounds,
+    # and each sums the time of its own calls.
+    strides = (2, 4, 8, 16)
+    rounds = 3
+    configs = {steps: SamplerConfig(reverse_steps=steps, seed=123) for steps in strides}
+    orders = {steps: [] for steps in strides}
+    elapsed = dict.fromkeys(strides, 0.0)
+    for round_index in range(rounds):
         for group, child in zip(heldout.groups, children):
-            out = rank_query(
-                model, group.feature_matrix(), table, config,
-                rng=np.random.default_rng(child),
-            )
-            orders.append(out.order)
-            labels.append(group.labels())
-        per_query = (time.perf_counter() - start) / len(heldout.groups)
-        value = evaluate_rankings(labels, orders, cutoffs=(10,)).values["ndcg"][10]
-        return value, per_query
-
-    full_value, _ = measure(table.timesteps)
+            features = group.feature_matrix()
+            for steps in strides:
+                rng = np.random.default_rng(child)
+                start = time.perf_counter()
+                out = rank_query(model, features, table, configs[steps], rng=rng)
+                elapsed[steps] += time.perf_counter() - start
+                if round_index == 0:
+                    orders[steps].append(out.order)
     values, times = {}, {}
-    for steps in (2, 4, 8, 16):
-        values[steps], times[steps] = measure(steps)
+    for steps in strides:
+        values[steps] = ndcg10(orders[steps])
+        times[steps] = elapsed[steps] / (rounds * len(heldout.groups))
         diff = abs(values[steps] - full_value)
         assert diff <= 0.01, (
             f"steps={steps}: ndcg@10 {values[steps]:.4f} departs from full "

@@ -59,11 +59,19 @@ def toy_model(seed=0, **overrides) -> DenoiseModel:
         {"dropout_p": 0.9},
         {"dropout_p": -0.1},
         {"num_grades": 1},
+        {"d_model": 16.0},
+        {"heads": True},
     ],
 )
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(ConfigError):
         toy_config(**overrides)
+
+
+def test_config_accepts_numpy_integers_as_plain_ints():
+    config = toy_config(k=np.int64(5), d_model=np.int32(16))
+    assert config == toy_config()
+    assert type(config.k) is int and type(config.d_model) is int
 
 
 def test_parameter_count_matches_hand_formula():
