@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 
 import numpy as np
@@ -71,10 +72,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to .grad. fresh: g is a new array that no other tensor
+        holds, so it may become .grad without a copy."""
+        if self.grad is not None:
+            self.grad += g
+        elif fresh and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -210,9 +216,9 @@ def mul(a, b) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.data.shape))
+            a._accumulate(_reduce_to(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.data.shape))
+            b._accumulate(_reduce_to(g * a.data, b.data.shape), fresh=True)
 
     return _result(data, (a, b), back)
 
@@ -227,9 +233,9 @@ def matmul(a, b) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, fresh=True)
 
     return _result(data, (a, b), back)
 
@@ -316,16 +322,25 @@ def reshape(x, shape) -> Tensor:
     return _result(data, (x,), back)
 
 
-def broadcast_rows(v, n: int) -> Tensor:
-    """Repeat a (1, d) row n times to give (n, d)."""
+def broadcast_rows(v, counts) -> Tensor:
+    """Repeat row i of an (m, d) tensor counts[i] times, rows kept in order.
+
+    A single count repeats a (1, d) row, as the bias of linear() needs.
+    """
     v = _as_tensor(v)
-    if v.data.ndim != 2 or v.data.shape[0] != 1:
-        raise ShapeError(f"broadcast_rows: expected shape (1, d), got {v.data.shape}")
-    data = np.broadcast_to(v.data, (n, v.data.shape[1])).copy()
+    reps = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if v.data.ndim != 2 or reps.shape != (v.data.shape[0],) or np.any(reps < 0):
+        raise ShapeError(
+            f"broadcast_rows: {reps.size} non-negative counts needed for shape "
+            f"{v.data.shape}, got {reps.tolist()}"
+        )
+    data = np.repeat(v.data, reps, axis=0)
 
     def back(g):
         if v.requires_grad:
-            v._accumulate(g.sum(axis=0, keepdims=True))
+            ends = np.cumsum(reps).tolist()
+            sums = [g[e - r : e].sum(axis=0) for r, e in zip(reps.tolist(), ends)]
+            v._accumulate(np.stack(sums))
 
     return _result(data, (v,), back)
 
@@ -359,18 +374,28 @@ def embedding_lookup(table, indices) -> Tensor:
 
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
-    data = np.logaddexp(np.zeros_like(x.data), x.data)
+    # max(x, 0) + log1p(exp(-|x|)): finite for large |x|, and computed in
+    # place it costs a fraction of logaddexp(0, x)
+    data = np.abs(x.data, out=np.empty_like(x.data))
+    np.negative(data, out=data)
+    np.exp(data, out=data)
+    np.log1p(data, out=data)
+    data += np.maximum(x.data, 0.0)
 
     def back(g):
         if x.requires_grad:
-            x._accumulate(g * _sigmoid(x.data))
+            x._accumulate(g * _sigmoid(x.data), fresh=True)
 
     return _result(data, (x,), back)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # tanh form stays finite for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    s = np.multiply(z, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(x) -> Tensor:
@@ -516,9 +541,76 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             gx_hat = g * gain.data
             row_mean = gx_hat.mean(axis=1, keepdims=True)
             row_proj = (gx_hat * xhat).mean(axis=1, keepdims=True)
-            x._accumulate(inv * (gx_hat - row_mean - xhat * row_proj))
+            x._accumulate(inv * (gx_hat - row_mean - xhat * row_proj), fresh=True)
 
     return _result(data, (x, gain, bias), back)
+
+
+def attention(q, k, v, segments, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within row segments.
+
+    q, k and v are (N, d). Consecutive rows form segments of the given
+    positive lengths, summing to N, and a row attends only to the rows of
+    its own segment. Head h owns columns [h*dh, (h+1)*dh) with dh = d /
+    heads; the (N, d) result holds the head outputs in that column order.
+    Forward and backward loop over segments with the heads batched as
+    (heads, n, dh) arrays, so the whole batch is one graph node.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    shape = q.data.shape
+    if len(shape) != 2 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(
+            f"attention: q, k, v shapes {shape}, {k.data.shape}, {v.data.shape} "
+            "must be equal and 2-d"
+        )
+    rows, d = shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    lengths = np.asarray(segments, dtype=np.int64).reshape(-1)
+    if np.any(lengths < 1) or lengths.sum() != rows:
+        raise ShapeError(
+            f"attention: segment lengths {lengths.tolist()} do not split {rows} rows"
+        )
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    ends = np.cumsum(lengths).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+
+    def split(x, lo, hi):  # rows [lo, hi) of (N, d) as (heads, n, dh)
+        return x[lo:hi].reshape(hi - lo, heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # (heads, n, dh) back to (n, d)
+        return x.transpose(1, 0, 2).reshape(-1, d)
+
+    data = np.empty_like(q.data)
+    probs = []
+    for lo, hi in bounds:
+        # A contiguous K^T gives each head the BLAS call of a 2-d q @ k.T,
+        # so a lone segment sums in the same order as unbatched heads.
+        kt = np.ascontiguousarray(split(k.data, lo, hi).transpose(0, 2, 1))
+        s = (split(q.data, lo, hi) @ kt) * c
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        data[lo:hi] = merge(s @ split(v.data, lo, hi))
+        probs.append(s)
+
+    def back(g):
+        gq, gk, gv = (np.empty_like(q.data) for _ in range(3))
+        for (lo, hi), p in zip(bounds, probs):
+            go = split(g, lo, hi)
+            gv[lo:hi] = merge(p.transpose(0, 2, 1) @ go)
+            gs = go @ split(v.data, lo, hi).transpose(0, 2, 1)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
+            gq[lo:hi] = merge(gs @ split(k.data, lo, hi))
+            gk[lo:hi] = merge(gs.transpose(0, 2, 1) @ split(q.data, lo, hi))
+        for t, gt in ((q, gq), (k, gk), (v, gv)):
+            if t.requires_grad:
+                t._accumulate(gt, fresh=True)
+
+    return _result(data, (q, k, v), back)
 
 
 def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -535,12 +627,12 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None)
     if rng is None:
         raise ValueError("dropout: an rng is required when training with p > 0")
     keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    factor = 1.0 / (1.0 - p)
-    data = x.data * keep * factor
+    keep *= 1.0 / (1.0 - p)
+    data = x.data * keep
 
     def back(g):
         if x.requires_grad:
-            x._accumulate(g * keep * factor)
+            x._accumulate(g * keep, fresh=True)
 
     return _result(data, (x,), back)
 

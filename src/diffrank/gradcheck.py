@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .losses import LOSS_NAMES, LossSpec, ranking_loss
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -261,6 +262,15 @@ def _op_cases() -> list:
             ),
         ),
         (
+            "broadcast_rows_counts",
+            lambda rng: with_weight(
+                (6, 4),
+                rng,
+                lambda r: [r.standard_normal((3, 4))],
+                lambda ts: ad.broadcast_rows(ts[0], [2, 1, 3]),
+            ),
+        ),
+        (
             "embedding_lookup",
             lambda rng: with_weight(
                 (4, 4),
@@ -382,6 +392,16 @@ def _op_cases() -> list:
             ),
         ),
         (
+            "attention",
+            lambda rng: with_weight(
+                (6, 4),
+                rng,
+                lambda r: [r.standard_normal((6, 4)) for _ in range(3)],
+                # three ragged segments, two heads of width 2
+                lambda ts: ad.attention(ts[0], ts[1], ts[2], [1, 3, 2], heads=2),
+            ),
+        ),
+        (
             "dropout",
             lambda rng: with_weight(
                 (3, 4),
@@ -424,10 +444,37 @@ def op_gradient_checks(seed: int = 0, trials: int = 5) -> list[CheckResult]:
     return results
 
 
+def loss_gradient_check(
+    spec: LossSpec, n: int = 6, trials: int = 20, seed: int = 0
+) -> float:
+    """Worst relative error between engine gradients and central finite
+    differences over random (scores, labels) instances."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        labels = rng.integers(0, 5, size=n).astype(np.float64)
+        if labels.max() == 0:
+            labels[rng.integers(0, n)] = rng.integers(1, 5)
+        scores = rng.standard_normal(n) * 2.0
+        # keep scores pairwise separated so the rank-dependent losses do
+        # not cross a sorting boundary inside the FD stencil
+        scores = np.sort(scores) + np.arange(n) * 1e-2
+        rng.shuffle(scores)
+
+        def f(arrays):
+            t = ad.Tensor(arrays[0].reshape(-1, 1))
+            return ranking_loss(spec, t, labels).item()
+
+        leaf = ad.Tensor(scores.reshape(-1, 1), requires_grad=True)
+        ad.backward(ranking_loss(spec, leaf, labels))
+        worst = max(
+            worst, check_gradients(f, [scores], [leaf.grad.reshape(-1)])
+        )
+    return worst
+
+
 def loss_gradient_checks(seed: int = 0, trials: int = 20) -> list[CheckResult]:
     """FD check for every ranking loss on random score/label instances."""
-    from .losses import LOSS_NAMES, LossSpec, loss_gradient_check
-
     results = []
     for name in LOSS_NAMES:
         try:
@@ -439,43 +486,50 @@ def loss_gradient_checks(seed: int = 0, trials: int = 20) -> list[CheckResult]:
 
 
 def model_gradient_checks(seed: int = 0, n_directions: int = 8) -> list[CheckResult]:
-    """Directional FD check through the full network, both encoder modes."""
+    """Directional FD check through the full network: one query in both
+    encoder modes, and two ragged queries packed into one graph."""
     from .network import DenoiseModel, ModelConfig
     from .schedule import ScheduleSpec
 
     spec = ScheduleSpec(kind="linear", timesteps=8)
+    # (label, attention on, segment lengths, one timestep or one per segment)
+    cases = (
+        ("attention", True, [3], 5),
+        ("feedforward", False, [3], 5),
+        ("packed", True, [2, 3], [5, 2]),
+    )
     results = []
-    for use_attention in (True, False):
-        rng = np.random.default_rng([seed, int(use_attention)])
+    for index, (label, use_attention, segments, t) in enumerate(cases):
+        rng = np.random.default_rng([seed, index])
         config = ModelConfig(
             k=4, d_model=16, heads=2, blocks=1, denoise_layers=2,
             dropout_p=0.0, use_attention=use_attention,
         )
         model = DenoiseModel(config, spec, dtype="float64", seed=seed + 3)
-        feats = rng.normal(size=(3, 4))
-        y_t = rng.normal(size=3)
-        target = rng.normal(size=(3, 1))
+        rows = sum(segments)
+        feats = rng.normal(size=(rows, 4))
+        y_t = rng.normal(size=rows)
+        target = rng.normal(size=(rows, 1))
         names = sorted(model.params)
 
-        def f(arrays, names=names, config=config, feats=feats, y_t=y_t, target=target):
+        def loss(m, feats=feats, y_t=y_t, t=t, segments=segments, target=target):
+            diff = ad.sub(m.predict_y0(feats, y_t, t=t, segments=segments), ad.Tensor(target))
+            return ad.tensor_mean(ad.mul(diff, diff))
+
+        def f(arrays, names=names, config=config, loss=loss):
             params = {
                 name: ad.Tensor(np.array(arr), requires_grad=True)
                 for name, arr in zip(names, arrays)
             }
-            rebuilt = DenoiseModel(config, spec, dtype="float64", params=params)
-            diff = ad.sub(rebuilt.predict_y0(feats, y_t, t=5), ad.Tensor(target))
-            return ad.tensor_mean(ad.mul(diff, diff)).item()
+            return loss(DenoiseModel(config, spec, dtype="float64", params=params)).item()
 
         try:
-            pred = model.predict_y0(feats, y_t, t=5)
-            diff = ad.sub(pred, ad.Tensor(target))
-            ad.backward(ad.tensor_mean(ad.mul(diff, diff)))
+            ad.backward(loss(model))
             arrays = [np.array(model.params[n].data) for n in names]
             analytic = [model.params[n].grad for n in names]
             worst = check_directional(f, arrays, analytic, rng, n_directions=n_directions)
         except Exception:
             worst = float("inf")
-        label = "attention" if use_attention else "feedforward"
         results.append(CheckResult(name=f"model.{label}", worst=worst, tol=GRAD_TOL))
     return results
 

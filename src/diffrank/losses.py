@@ -27,7 +27,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .gradcheck import check_gradients
 from .metrics import ranking_order
 
 LOSS_NAMES = ("mse", "rmse", "ranknet", "listnet", "approxndcg", "ndcgloss2pp")
@@ -169,31 +168,3 @@ def ranking_loss(spec: LossSpec, y_hat: Tensor, labels, mask=None) -> Tensor:
         return _approxndcg(row, kept, spec.t_smooth)
     return _ndcgloss2pp(row, kept, spec.mu, spec.sigma)
 
-
-def loss_gradient_check(
-    spec: LossSpec, n: int = 6, trials: int = 20, seed: int = 0
-) -> float:
-    """Worst relative error between engine gradients and central finite
-    differences over random (scores, labels) instances."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        labels = rng.integers(0, 5, size=n).astype(np.float64)
-        if labels.max() == 0:
-            labels[rng.integers(0, n)] = rng.integers(1, 5)
-        scores = rng.standard_normal(n) * 2.0
-        # keep scores pairwise separated so the rank-dependent losses do
-        # not cross a sorting boundary inside the FD stencil
-        scores = np.sort(scores) + np.arange(n) * 1e-2
-        rng.shuffle(scores)
-
-        def f(arrays):
-            t = Tensor(arrays[0].reshape(-1, 1))
-            return ranking_loss(spec, t, labels).item()
-
-        leaf = Tensor(scores.reshape(-1, 1), requires_grad=True)
-        ad.backward(ranking_loss(spec, leaf, labels))
-        worst = max(
-            worst, check_gradients(f, [scores], [leaf.grad.reshape(-1)])
-        )
-    return worst

@@ -8,6 +8,11 @@ signal, so the encoder is equivariant to document order. With attention
 disabled the blocks keep only their feed-forward half and documents never
 see each other.
 
+Several queries can run as one packed batch: their matrices stacked
+row-wise, with `segments` giving each query's row count. Attention stays
+within a segment and every other layer is row-wise, so a packed query
+gets the same outputs, up to float rounding, as when it runs alone.
+
 denoise() consumes the context vectors together with the noisy label
 column and the embedded timestep: every hidden layer is
 Linear -> softplus -> dropout, gated elementwise by the timestep
@@ -44,8 +49,6 @@ from .schedule import ScheduleSpec
 _CKPT_MAGIC = b"DRCKPTF\x00"
 _CKPT_VERSION = 1
 _CKPT_HEADER_KEYS = ("model", "schedule", "dtype", "params")
-
-ATTENTION_MASK_BIAS = -1e9
 
 
 @dataclass(frozen=True)
@@ -85,16 +88,34 @@ class ModelConfig:
             raise ConfigError(f"num_grades must be >= 2, got {self.num_grades}")
 
 
-def sinusoidal_embedding(t: int, d: int) -> np.ndarray:
-    """Fixed sin/cos features of an integer timestep, shape (1, d)."""
+def sinusoidal_embedding(t, d: int) -> np.ndarray:
+    """Fixed sin/cos features of integer timesteps: shape (len(t), d), or
+    (1, d) for a scalar t."""
     half = d // 2
     idx = np.arange(half, dtype=np.float64)
     freqs = np.exp(-math.log(10000.0) * idx / max(half, 1))
-    angles = t * freqs
-    emb = np.concatenate([np.sin(angles), np.cos(angles)])
-    if emb.size < d:
-        emb = np.concatenate([emb, np.zeros(d - emb.size)])
-    return emb.reshape(1, d)
+    angles = np.reshape(t, (-1, 1)) * freqs
+    pad = np.zeros((angles.shape[0], d - 2 * half))
+    return np.concatenate([np.sin(angles), np.cos(angles), pad], axis=1)
+
+
+def _segment_lengths(segments, rows: int) -> np.ndarray:
+    """Row counts of the queries packed into `rows` rows; None is one query."""
+    if segments is None:
+        return np.array([rows], dtype=np.int64)
+    lengths = np.asarray(segments)
+    if (
+        lengths.ndim != 1
+        or lengths.size == 0
+        or not np.issubdtype(lengths.dtype, np.integer)
+        or lengths.min() < 1
+        or lengths.sum() != rows
+    ):
+        raise ShapeError(
+            f"segment lengths {lengths.tolist()} do not split {rows} rows "
+            "into non-empty queries"
+        )
+    return lengths.astype(np.int64)
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -183,31 +204,28 @@ class DenoiseModel:
     def encode(
         self,
         features: np.ndarray,
-        mask: np.ndarray | None = None,
+        segments=None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
+        """Context vectors for the documents of one or more queries.
+
+        features stacks the queries' (n_i, k) matrices and segments lists
+        the n_i; None makes all rows one query.
+        """
         cfg = self.config
         feats = self._cast(features)
         if feats.ndim != 2 or feats.shape[1] != cfg.k:
             raise ShapeError(
                 f"encode expects (n, {cfg.k}) features, got shape {feats.shape}"
             )
-        n = feats.shape[0]
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool).reshape(-1)
-            if mask.shape != (n,):
-                raise ShapeError(f"mask shape {mask.shape} does not match {n} rows")
+        lengths = _segment_lengths(segments, feats.shape[0])
         p = cfg.dropout_p
         x = ad.linear(Tensor(feats), self._p("proj.w"), self._p("proj.b"))
-        attn_bias = None
-        if mask is not None and cfg.use_attention:
-            bias_row = np.where(mask, 0.0, ATTENTION_MASK_BIAS).astype(self.dtype)
-            attn_bias = Tensor(np.broadcast_to(bias_row, (n, n)).copy())
         for i in range(cfg.blocks):
             if cfg.use_attention:
                 h = ad.layer_norm(x, self._p(f"enc{i}.ln1.g"), self._p(f"enc{i}.ln1.b"))
-                att = self._attention(i, h, attn_bias)
+                att = self._attention(i, h, lengths)
                 att = ad.dropout(att, p, training, rng)
                 x = ad.add(x, att)
             h = ad.layer_norm(x, self._p(f"enc{i}.ln2.g"), self._p(f"enc{i}.ln2.b"))
@@ -218,27 +236,15 @@ class DenoiseModel:
             x = ad.add(x, f)
         return ad.layer_norm(x, self._p("enc_out.ln.g"), self._p("enc_out.ln.b"))
 
-    def _attention(self, i: int, h: Tensor, attn_bias: Tensor | None) -> Tensor:
-        cfg = self.config
-        d, heads = cfg.d_model, cfg.heads
-        dh = d // heads
+    def _attention(self, i: int, h: Tensor, lengths: np.ndarray) -> Tensor:
         q = ad.linear(h, self._p(f"enc{i}.attn.wq.w"), self._p(f"enc{i}.attn.wq.b"))
         k = ad.linear(h, self._p(f"enc{i}.attn.wk.w"), self._p(f"enc{i}.attn.wk.b"))
         v = ad.linear(h, self._p(f"enc{i}.attn.wv.w"), self._p(f"enc{i}.attn.wv.b"))
-        outs = []
-        for hd in range(heads):
-            lo, hi = hd * dh, (hd + 1) * dh
-            qh = ad.slice_cols(q, lo, hi)
-            kh = ad.slice_cols(k, lo, hi)
-            vh = ad.slice_cols(v, lo, hi)
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-            if attn_bias is not None:
-                scores = ad.add(scores, attn_bias)
-            outs.append(ad.matmul(ad.softmax(scores), vh))
-        merged = ad.concat(outs)
+        merged = ad.attention(q, k, v, lengths, self.config.heads)
         return ad.linear(merged, self._p(f"enc{i}.attn.wo.w"), self._p(f"enc{i}.attn.wo.b"))
 
-    def timestep_embedding(self, t: int) -> Tensor:
+    def timestep_embedding(self, t) -> Tensor:
+        """Learned embedding of timesteps t (an int or an array), one row each."""
         base = Tensor(sinusoidal_embedding(t, self.config.d_model).astype(self.dtype))
         return ad.linear(base, self._p("temb.w"), self._p("temb.b"))
 
@@ -246,10 +252,16 @@ class DenoiseModel:
         self,
         context: Tensor,
         y_t: np.ndarray,
-        t: int,
+        t,
+        segments=None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
+        """Predicted clean labels, shape (rows, 1).
+
+        t is one timestep for all rows, or one per segment of `segments`
+        (as for encode); each query's embedding is repeated over its rows.
+        """
         cfg = self.config
         n = context.data.shape[0]
         y_col = self._cast(y_t).reshape(-1, 1)
@@ -257,8 +269,13 @@ class DenoiseModel:
             raise ShapeError(
                 f"noisy labels cover {y_col.shape[0]} rows, context has {n}"
             )
+        lengths = _segment_lengths(segments, n)
+        steps = np.asarray(t).reshape(-1)
+        if steps.size not in (1, lengths.size):
+            raise ShapeError(f"{steps.size} timesteps given for {lengths.size} segments")
+        counts = [n] if steps.size == 1 else lengths
         p = cfg.dropout_p
-        temb = ad.broadcast_rows(self.timestep_embedding(t), n)
+        temb = ad.broadcast_rows(self.timestep_embedding(steps), counts)
         x = ad.concat([context, Tensor(y_col)])
         last = cfg.denoise_layers - 1
         for j in range(cfg.denoise_layers):
@@ -278,13 +295,13 @@ class DenoiseModel:
         self,
         features: np.ndarray,
         y_t: np.ndarray,
-        t: int,
-        mask: np.ndarray | None = None,
+        t,
+        segments=None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        context = self.encode(features, mask=mask, training=training, rng=rng)
-        return self.denoise(context, y_t, t, training=training, rng=rng)
+        context = self.encode(features, segments, training=training, rng=rng)
+        return self.denoise(context, y_t, t, segments, training=training, rng=rng)
 
 
 # ---------------------------------------------------------------------------

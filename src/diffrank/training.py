@@ -4,8 +4,10 @@ One optimisation step processes a batch of query lists: for every list a
 timestep is drawn uniformly, its labels are diffused to that timestep
 with fresh Gaussian noise, the model predicts the clean labels from the
 documents plus the noisy labels, and the configured ranking loss scores
-the prediction. The batch loss is the mean of the per-list losses, and
-AdamW (decoupled weight decay) applies the update.
+the prediction. The lists run through the model as one packed graph,
+their documents stacked into one matrix, so each layer runs once per
+batch. The batch loss is the mean of the per-list losses, and AdamW
+(decoupled weight decay) applies the update.
 
 fit() runs the epoch loop: shuffled query batches, periodic validation
 by actually running the reverse-process ranker on the validation split
@@ -182,33 +184,45 @@ def init_state(config: TrainConfig) -> TrainState:
 
 
 def train_step(batch: list[QueryGroup], state: TrainState, config: TrainConfig) -> float:
-    """One noising/denoising update over a batch of query lists."""
+    """One noising/denoising update over a batch of query lists.
+
+    Each query draws its timestep, then its noise, in batch order. The
+    batch then runs as one packed forward pass (see DenoiseModel.encode),
+    and each query's loss is taken on its own rows.
+    """
     if not batch:
         raise ConfigError("train_step needs a non-empty batch")
     model = state.model
     timesteps = state.table.timesteps
     cap = config.max_list_size
-    per_query = []
+    feats, labels, steps, noisy = [], [], [], []
     for group in batch:
-        feats = group.feature_matrix()[:cap]
-        labels = group.labels()[:cap].astype(np.float64)
-        n = labels.size
+        y0 = group.labels()[:cap].astype(np.float64)
         t = sample_timestep(state.rng, timesteps)
-        eps = state.rng.standard_normal(n)
-        y_t = q_sample(labels, t, eps, state.table)
-        y_hat = model.predict_y0(
-            feats, y_t, t=t, training=True, rng=state.rng
-        )
-        q_loss = ranking_loss(config.loss, y_hat, labels)
+        eps = state.rng.standard_normal(y0.size)
+        feats.append(group.feature_matrix()[:cap])
+        labels.append(y0)
+        steps.append(t)
+        noisy.append(q_sample(y0, t, eps, state.table))
+    lengths = np.array([y.size for y in labels])
+    y_hat = model.predict_y0(
+        np.concatenate(feats),
+        np.concatenate(noisy),
+        t=np.array(steps),
+        segments=lengths,
+        training=True,
+        rng=state.rng,
+    )
+    total = None
+    for group, t, y0, end in zip(batch, steps, labels, np.cumsum(lengths)):
+        rows = ad.embedding_lookup(y_hat, np.arange(end - y0.size, end))
+        q_loss = ranking_loss(config.loss, rows, y0)
         if not np.isfinite(q_loss.data).all():
             raise NumericError(
                 f"non-finite training loss for query id {group.qid} at timestep {t}"
             )
-        per_query.append(q_loss)
-    total = per_query[0]
-    for q_loss in per_query[1:]:
-        total = ad.add(total, q_loss)
-    loss = ad.scale(total, 1.0 / len(per_query))
+        total = q_loss if total is None else ad.add(total, q_loss)
+    loss = ad.scale(total, 1.0 / len(batch))
     model.zero_grads()
     loss.backward()
     state.optimizer.step()

@@ -31,6 +31,14 @@ class TestForwardValues:
         ad.backward(ad.tensor_sum(ad.softplus(x)))
         assert x.grad[0] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_softplus_matches_logaddexp_and_stays_finite(self, dtype):
+        x = np.concatenate([np.linspace(-30, 30, 601), [-1e4, -700.0, 700.0, 1e4]])
+        out = ad.softplus(ad.Tensor(x.astype(dtype))).data
+        assert out.dtype == np.dtype(dtype) and np.isfinite(out).all()
+        tol = 1e-6 if dtype == "float32" else 1e-14
+        np.testing.assert_allclose(out, np.logaddexp(0.0, x), rtol=tol, atol=tol)
+
     def test_softmax_equal_logits_uniform(self):
         out = ad.softmax(ad.Tensor(np.full((1, 5), 3.7)))
         np.testing.assert_allclose(out.data, 0.2, atol=1e-12)
@@ -54,6 +62,18 @@ class TestForwardValues:
         b = rng.standard_normal((1, 5))
         out = ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
         np.testing.assert_allclose(out.data, x @ w + b, atol=1e-12)
+
+    def test_broadcast_rows_repeats_each_row_by_its_count(self, rng):
+        v = rng.standard_normal((3, 2))
+        out = ad.broadcast_rows(ad.Tensor(v), [2, 0, 1])
+        np.testing.assert_array_equal(out.data, v[[0, 0, 2]])
+
+    def test_attention_segment_matches_its_own_run(self, rng):
+        q, k, v = (rng.standard_normal((7, 4)) for _ in range(3))
+        packed = ad.attention(q, k, v, [3, 4], heads=2).data
+        alone = ad.attention(q[3:], k[3:], v[3:], [4], heads=2).data
+        np.testing.assert_array_equal(packed[3:], alone)
+        np.testing.assert_allclose(packed, _np_attention(q, k, v, [3, 4], 2), atol=1e-12)
 
     def test_embedding_lookup_rows(self, rng):
         table = rng.standard_normal((7, 4))
@@ -87,6 +107,21 @@ class TestErrors:
         x = _leaf(np.ones((2, 2)))
         with pytest.raises(ShapeError):
             ad.backward(ad.mul(x, x))
+
+    @pytest.mark.parametrize("segments", [[3, 3], [5, 0], [4], []])
+    def test_attention_rejects_segments_not_splitting_rows(self, segments):
+        x = ad.Tensor(np.ones((5, 4)))
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, segments, heads=2)
+
+    def test_attention_rejects_width_not_divisible_by_heads(self):
+        x = ad.Tensor(np.ones((5, 4)))
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, [5], heads=3)
+
+    def test_broadcast_rows_rejects_count_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.broadcast_rows(ad.Tensor(np.ones((2, 3))), [1, 2, 3])
 
     def test_dropout_rejects_bad_probability(self):
         with pytest.raises(DomainError):
@@ -167,9 +202,19 @@ def _op_cases(rng):
             [(1, d)],
         ),
         (
+            "broadcast_rows_counts",
+            lambda xs: float((np.repeat(xs[0], [2, 1, 3], axis=0) ** 2 * np.arange(6 * d).reshape(6, d)).sum()),
+            [(3, d)],
+        ),
+        (
             "embedding_lookup",
             lambda xs: float((xs[0][[2, 0, 2, 3]] ** 2).sum()),
             [(n, d)],
+        ),
+        (
+            "attention",
+            lambda xs: float((_np_attention(*xs, [1, 3, 2], 2) * np.arange(24).reshape(6, 4)).sum()),
+            [(6, 4), (6, 4), (6, 4)],
         ),
         ("softplus", lambda xs: float(np.logaddexp(0, xs[0]).sum()), [(n, d)]),
         (
@@ -194,6 +239,21 @@ def _op_cases(rng):
 def _np_softmax(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _np_attention(q, k, v, segments, heads):
+    """Per-segment, per-head softmax(q k^T / sqrt(dh)) v, heads side by side."""
+    dh = q.shape[1] // heads
+    out = np.zeros_like(q)
+    lo = 0
+    for n in segments:
+        rows = slice(lo, lo + n)
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            p = _np_softmax(q[rows, cols] @ k[rows, cols].T / math.sqrt(dh))
+            out[rows, cols] = p @ v[rows, cols]
+        lo += n
+    return out
 
 
 def _graph_for(name, leaves):
@@ -223,6 +283,14 @@ def _graph_for(name, leaves):
         d = leaves[0].data.shape[1]
         coef = ad.Tensor(np.arange(4 * d, dtype=np.float64).reshape(4, d))
         return ad.tensor_sum(ad.mul(ad.broadcast_rows(leaves[0], 4), coef))
+    if name == "broadcast_rows_counts":
+        z = ad.broadcast_rows(leaves[0], [2, 1, 3])
+        coef = ad.Tensor(np.arange(6 * z.data.shape[1], dtype=np.float64).reshape(z.data.shape))
+        return ad.tensor_sum(ad.mul(ad.mul(z, z), coef))
+    if name == "attention":
+        out = ad.attention(*leaves, [1, 3, 2], heads=2)
+        coef = ad.Tensor(np.arange(24, dtype=np.float64).reshape(6, 4))
+        return ad.tensor_sum(ad.mul(out, coef))
     if name == "embedding_lookup":
         z = ad.embedding_lookup(leaves[0], [2, 0, 2, 3])
         return ad.tensor_sum(ad.mul(z, z))

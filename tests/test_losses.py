@@ -11,12 +11,8 @@ from diffrank import autodiff as ad
 from diffrank import metrics as mt
 from diffrank.autodiff import Tensor
 from diffrank.errors import ConfigError
-from diffrank.losses import (
-    LOSS_NAMES,
-    LossSpec,
-    loss_gradient_check,
-    ranking_loss,
-)
+from diffrank.gradcheck import loss_gradient_check
+from diffrank.losses import LOSS_NAMES, LossSpec, ranking_loss
 
 
 def _loss(name, scores, labels, mask=None, **kw):

@@ -226,39 +226,54 @@ def test_attention_off_isolates_documents():
     assert not np.array_equal(a[2], b[2])
 
 
+def _two_queries(seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(8, 5))
+    y_t = rng.normal(size=8)
+    return feats, y_t
+
+
 @pytest.mark.parametrize("use_attention", [True, False])
-def test_masked_padding_rows_do_not_leak(use_attention):
+def test_packed_queries_match_separate_runs(use_attention):
     model = toy_model(use_attention=use_attention)
-    rng = np.random.default_rng(11)
-    feats = rng.normal(size=(5, 5))
-    y_t = rng.normal(size=5)
-    junk = np.full((3, 5), 1e3)
-    padded_feats = np.vstack([feats, junk])
-    padded_y = np.concatenate([y_t, np.full(3, 50.0)])
-    mask = np.array([True] * 5 + [False] * 3)
-    plain = model.predict_y0(feats, y_t, t=7).data
-    padded = model.predict_y0(padded_feats, padded_y, t=7, mask=mask).data
-    np.testing.assert_allclose(padded[:5], plain, rtol=0, atol=1e-6)
+    feats, y_t = _two_queries(11)
+    packed = model.predict_y0(feats, y_t, t=[7, 2], segments=[3, 5]).data
+    a = model.predict_y0(feats[:3], y_t[:3], t=7).data
+    b = model.predict_y0(feats[3:], y_t[3:], t=2).data
+    np.testing.assert_allclose(packed, np.vstack([a, b]), rtol=0, atol=1e-12)
+    # one timestep for every row needs no per-segment list
+    shared = model.predict_y0(feats, y_t, t=7, segments=[3, 5]).data
+    np.testing.assert_allclose(shared[:3], a, rtol=0, atol=1e-12)
 
 
-def test_all_true_mask_matches_no_mask():
-    model = toy_model()
-    rng = np.random.default_rng(12)
-    feats = rng.normal(size=(4, 5))
-    a = model.encode(feats).data
-    b = model.encode(feats, mask=np.ones(4, dtype=bool)).data
-    np.testing.assert_array_equal(a, b)
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_perturbing_one_query_leaves_the_other_bit_identical(use_attention):
+    model = toy_model(use_attention=use_attention)
+    feats, y_t = _two_queries(12)
+    other = feats.copy()
+    other[3:] += 100.0
+    other_y = y_t.copy()
+    other_y[3:] -= 5.0
+    a = model.predict_y0(feats, y_t, t=[7, 2], segments=[3, 5]).data
+    b = model.predict_y0(other, other_y, t=[7, 2], segments=[3, 5]).data
+    np.testing.assert_array_equal(a[:3], b[:3])
+    assert not np.array_equal(a[3:], b[3:])
 
 
 def test_shape_errors_name_the_problem():
     model = toy_model()
     with pytest.raises(ShapeError):
         model.encode(np.ones((3, 4)))  # wrong feature width
-    with pytest.raises(ShapeError):
-        model.encode(np.ones((3, 5)), mask=np.ones(2, dtype=bool))
+    for segments in ([1, 1], [2, 2], [3, 0], [1.5, 1.5]):
+        with pytest.raises(ShapeError, match="segment lengths"):
+            model.encode(np.ones((3, 5)), segments=segments)
     ctx = model.encode(np.ones((3, 5)))
     with pytest.raises(ShapeError):
         model.denoise(ctx, np.zeros(2), t=1)
+    with pytest.raises(ShapeError, match="segment lengths"):
+        model.denoise(ctx, np.zeros(3), t=[1, 2], segments=[1, 1])
+    with pytest.raises(ShapeError, match="timesteps"):
+        model.denoise(ctx, np.zeros(3), t=[1, 2, 3], segments=[1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -252,11 +252,77 @@ def test_train_step_reports_offending_query_on_nan():
     ds = tiny_dataset()
     config = small_train_config()
     state = init_state(config)
-    state.model.params["proj.w"].data[:] = np.nan
-    group = ds.groups[2]
+    bad = ds.groups[1]
+    docs = list(bad.docs)
+    docs[2] = Document(
+        qid=bad.qid, label=docs[2].label, features=np.full(4, np.nan),
+        doc_index=docs[2].doc_index,
+    )
+    batch = [ds.groups[0], QueryGroup(qid=bad.qid, docs=docs), ds.groups[2]]
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericError, match=f"query id {group.qid}"):
-            train_step([group], state, config)
+        with pytest.raises(NumericError, match=f"query id {bad.qid} at timestep"):
+            train_step(batch, state, config)
+
+
+def ragged_groups(lengths, seed=0, k=4) -> list[QueryGroup]:
+    rng = np.random.default_rng(seed)
+    groups = []
+    for q, n in enumerate(lengths, start=1):
+        feats = rng.normal(size=(n, k))
+        labels = rng.integers(0, 5, size=n)
+        docs = [
+            Document(qid=q, label=int(labels[d]), features=feats[d], doc_index=d)
+            for d in range(n)
+        ]
+        groups.append(QueryGroup(qid=q, docs=docs))
+    return groups
+
+
+def _per_query_graph_step(batch, state, config) -> float:
+    """train_step as one graph per query: the reference for packing."""
+    per_query = []
+    for group in batch:
+        labels = group.labels()
+        t = sample_timestep(state.rng, state.table.timesteps)
+        eps = state.rng.standard_normal(labels.size)
+        y_t = q_sample(labels, t, eps, state.table)
+        pred = state.model.predict_y0(
+            group.feature_matrix(), y_t, t=t, training=True, rng=state.rng
+        )
+        per_query.append(ranking_loss(config.loss, pred, labels))
+    total = per_query[0]
+    for q_loss in per_query[1:]:
+        total = ad.add(total, q_loss)
+    loss = ad.scale(total, 1.0 / len(per_query))
+    state.model.zero_grads()
+    loss.backward()
+    state.optimizer.step()
+    return float(loss.data)
+
+
+@pytest.mark.parametrize("loss", ["listnet", "ranknet"])
+def test_packed_step_matches_per_query_graph(loss):
+    config = small_train_config(loss=LossSpec(name=loss))
+    batch = ragged_groups([5, 1, 9, 3])
+    packed, reference = init_state(config), init_state(config)
+    for _ in range(3):
+        a = train_step(batch, packed, config)
+        b = _per_query_graph_step(batch, reference, config)
+        assert abs(a - b) <= 1e-12
+        for name, p in packed.model.params.items():
+            np.testing.assert_allclose(
+                p.grad, reference.model.params[name].grad, rtol=0, atol=1e-12,
+                err_msg=name,
+            )
+    for name, p in packed.model.params.items():
+        # The key bias adds the same q.b to every score of a softmax row,
+        # so its exact gradient is zero and both graphs hold only rounding
+        # noise there, which AdamW divides by its eps of 1e-8.
+        if name.endswith("attn.wk.b"):
+            continue
+        np.testing.assert_allclose(
+            p.data, reference.model.params[name].data, rtol=0, atol=1e-12, err_msg=name
+        )
 
 
 def test_truncation_cap_matches_pretruncated_data():
