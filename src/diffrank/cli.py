@@ -22,7 +22,6 @@ import hashlib
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -121,10 +120,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _describe_split(name: str, ds: Dataset, cache_path: str) -> str:
-    labels = np.array([doc.label for doc in ds.iter_docs()], dtype=np.int64)
-    lengths = np.array(sorted(len(g.docs) for g in ds.groups), dtype=np.int64)
+    lengths = np.sort(ds.counts)
     hist = " ".join(
-        f"{grade}:{int((labels == grade).sum())}" for grade in range(int(labels.max()) + 1)
+        f"{grade}:{int((ds.labels == grade).sum())}" for grade in range(int(ds.labels.max()) + 1)
     )
     pct = {
         "min": lengths[0],
@@ -222,9 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         return out.scores
 
-    report = evaluate_dataset(
-        ds, ranker, cutoffs=config["cutoffs"], workers=config["workers"]
-    )
+    report = evaluate_dataset(ds, ranker, cutoffs=config["cutoffs"])
     csv_path = args.out or os.path.join(config["out_dir"], "metrics.csv")
     _write_text(csv_path, report_to_csv(report))
     print(format_report_table(report))
@@ -297,17 +293,10 @@ def cmd_diversity(args: argparse.Namespace) -> int:
         raise ConfigError(f"repeat must be at least 1, got {repeats}")
     cutoffs = config["rsd_cutoffs"]
 
-    def run_group(group):
-        outs = rank_query_repeated(
-            model, group.feature_matrix(), table, sampler, repeats=repeats
-        )
-        return [o.order for o in outs]
-
-    if config["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=config["workers"]) as pool:
-            per_query_orders = list(pool.map(run_group, ds.groups))
-    else:
-        per_query_orders = [run_group(g) for g in ds.groups]
+    per_query_orders = []
+    for group in ds.groups:
+        outs = rank_query_repeated(model, group.feature_matrix(), table, sampler, repeats=repeats)
+        per_query_orders.append([o.order for o in outs])
 
     labels_list = [g.labels() for g in ds.groups]
     # exact-rational mean: identical repeated rankings must report the

@@ -118,7 +118,6 @@ SCHEMA: dict = {
     "cutoffs": (_parse_cutoffs, (1, 3, 5, 10, 20, "ALL")),
     "rsd_cutoffs": (_parse_int_cutoffs, (1, 5, 10, 20)),
     "repeat": (_parse_int, 10),
-    "workers": (_parse_int, 1),
     "zero_variance": (_parse_bool, False),
 }
 

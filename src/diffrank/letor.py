@@ -5,15 +5,16 @@ Input lines look like
     <label> qid:<id> <fid>:<val> <fid>:<val> ... # optional comment
 
 with 1-based feature ids that may be sparse; absent ids are zero-filled.
-Labels are integer relevance grades 0..4. Documents are grouped by query
-id, preserving file order, and every document remembers its position in
-the source file (doc_index) which later serves as the ranking tie-break.
+Labels are integer relevance grades 0..4. A Dataset stores each query's
+documents as contiguous rows of one feature matrix: queries in the order
+they first appear, documents in file order within a query. Every document
+keeps its position in the source file (doc_index).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +29,38 @@ from .errors import (
 MAX_LABEL = 4
 
 _MAGIC = b"DRLTRCH\x00"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
-@dataclass(frozen=True)
-class Document:
-    qid: int
-    label: int
-    features: np.ndarray
-    doc_index: int
+def _read_only(a, dtype) -> np.ndarray:
+    view = np.asarray(a, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
 
-@dataclass
 class QueryGroup:
-    qid: int
-    docs: list[Document]
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    """One query's documents; in a Dataset, views of its contiguous rows."""
+
+    __slots__ = ("qid", "_features", "_labels", "_doc_index")
+
+    def __init__(self, qid: int, features, labels, doc_index):
+        self.qid = int(qid)
+        self._features = features
+        self._labels = labels
+        self._doc_index = doc_index
 
     @property
     def n(self) -> int:
-        return len(self.docs)
+        return len(self._labels)
 
     def feature_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.stack([d.features for d in self.docs])
-        return self._matrix
+        return self._features
 
     def labels(self) -> np.ndarray:
-        return np.array([d.label for d in self.docs], dtype=np.float64)
+        return self._labels.astype(np.float64)
 
     def doc_indices(self) -> np.ndarray:
-        return np.array([d.doc_index for d in self.docs], dtype=np.int64)
+        return self._doc_index
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,59 @@ class NormStats:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValidationError("normalization stats must be finite")
+        if np.any(self.std <= 0):
+            raise ValidationError("normalization std entries must be positive")
 
-@dataclass
+
 class Dataset:
-    groups: list[QueryGroup]
-    k: int
-    norm_stats: NormStats | None = None
+    """Ranking data as read-only columns, each query's rows contiguous:
+    features (N, k) float64, labels (N,) uint8, doc_index (N,) int64 (the
+    document's position in its source file), qids (Q,) int64 and counts
+    (Q,) int64 (rows per query). `groups` has one QueryGroup per query,
+    whose arrays are views of that query's rows."""
+
+    def __init__(self, features, labels, doc_index, qids, counts, norm_stats=None):
+        self.features = _read_only(features, np.float64)
+        self.doc_index = _read_only(doc_index, np.int64)
+        self.qids = _read_only(qids, np.int64)
+        self.counts = _read_only(counts, np.int64)
+        self.norm_stats = norm_stats
+        labels = np.asarray(labels)
+        n = len(self.features)
+        if (
+            self.features.ndim != 2
+            or self.k < 1
+            or labels.shape != (n,)
+            or self.doc_index.shape != (n,)
+            or self.qids.ndim != 1
+            or self.counts.shape != self.qids.shape
+            or norm_stats is not None
+            and (norm_stats.mean.shape, norm_stats.std.shape) != ((self.k,),) * 2
+        ):
+            raise ValidationError("the columns' shapes disagree")
+        if np.any((self.counts < 1) | (self.counts > n)) or self.counts.sum() != n:
+            raise ValidationError(f"row counts must be >= 1 and sum to {n} rows")
+        if np.unique(self.qids).size != self.qids.size:
+            raise ValidationError("query ids must be distinct")
+        if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels > MAX_LABEL)):
+            raise ValidationError(f"labels must be integer grades in [0, {MAX_LABEL}]")
+        self.labels = _read_only(labels, np.uint8)
+        if np.any(self.doc_index < 0):
+            raise ValidationError("doc indices must be non-negative")
+        if not np.isfinite(self.features).all():
+            raise ValidationError("feature values must be finite")
+        ends = np.cumsum(self.counts).tolist()
+        self.groups = [
+            QueryGroup(qid, self.features[s:e], self.labels[s:e], self.doc_index[s:e])
+            for qid, s, e in zip(self.qids.tolist(), [0] + ends[:-1], ends)
+        ]
+
+    @property
+    def k(self) -> int:
+        return self.features.shape[-1]
 
     @property
     def num_queries(self) -> int:
@@ -79,11 +128,7 @@ class Dataset:
 
     @property
     def num_docs(self) -> int:
-        return sum(g.n for g in self.groups)
-
-    def iter_docs(self):
-        for g in self.groups:
-            yield from g.docs
+        return len(self.labels)
 
 
 def _parse_label(token: str, path: str, lineno: int) -> int:
@@ -108,8 +153,9 @@ def _parse_label(token: str, path: str, lineno: int) -> int:
 
 def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
     """Parse a ranking data file into grouped, densely zero-filled rows."""
-    rows: list[tuple[int, int, dict[int, float]]] = []
-    max_fid = 0
+    docs: list[tuple[int, int, int, int]] = []  # label, qid, line, feature count
+    cols: list[int] = []
+    vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.partition("#")[0].strip()
@@ -131,7 +177,9 @@ def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
                 raise ParseError(
                     f"query id {tokens[1][4:]!r} is not an integer", path, lineno
                 ) from None
-            feats: dict[int, float] = {}
+            if not -(2**63) <= qid < 2**63:
+                raise ParseError(f"query id {qid} does not fit in 64 bits", path, lineno)
+            seen: set[int] = set()
             for tok in tokens[2:]:
                 fid_s, sep, val_s = tok.partition(":")
                 if not sep:
@@ -147,45 +195,50 @@ def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
                     raise ParseError(
                         f"feature ids are 1-based, got {fid}", path, lineno
                     )
-                if fid in feats:
+                if fid in seen:
                     raise ParseError(f"duplicate feature id {fid}", path, lineno)
-                feats[fid] = val
-                max_fid = max(max_fid, fid)
-            rows.append((label, qid, feats, lineno))
-    if not rows:
+                seen.add(fid)
+                cols.append(fid - 1)
+                vals.append(val)
+            docs.append((label, qid, lineno, len(tokens) - 2))
+    if not docs:
         raise DataError(f"no documents found in {path}")
-    k = max(max_fid, k_hint or 0)
+    labels, qids, linenos, widths = zip(*docs)
+    k = max(max(cols, default=-1) + 1, k_hint or 0)
     if k == 0:
         raise DataError(f"no features found in {path}")
 
-    matrix = np.zeros((len(rows), k), dtype=np.float64)
-    for doc_index, (_, _, feats, _) in enumerate(rows):
-        dense = matrix[doc_index]
-        for fid, val in feats.items():
-            dense[fid - 1] = val
-    finite = np.isfinite(matrix)
+    values = np.array(vals, dtype=np.float64)
+    finite = np.isfinite(values)
     if not finite.all():
-        doc_index, col = np.argwhere(~finite)[0]
-        lineno = rows[doc_index][3]
+        entry = int(np.argmin(finite))
+        doc = int(np.searchsorted(np.cumsum(widths), entry, side="right"))
         raise ValidationError(
-            f"feature {col + 1} is {matrix[doc_index, col]} at {path}:{lineno}; "
+            f"feature {cols[entry] + 1} is {values[entry]} at {path}:{linenos[doc]}; "
             "feature values must be finite"
         )
-    matrix.setflags(write=False)
-    groups: dict[int, QueryGroup] = {}
-    for doc_index, (label, qid, _, _) in enumerate(rows):
-        doc = Document(qid=qid, label=label, features=matrix[doc_index], doc_index=doc_index)
-        if qid not in groups:
-            groups[qid] = QueryGroup(qid=qid, docs=[])
-        groups[qid].docs.append(doc)
-    return Dataset(groups=list(groups.values()), k=k)
+    # one stable sort by first-seen query makes each query's rows
+    # contiguous and keeps file order inside it
+    first_seen: dict[int, int] = {}
+    group_of = np.array([first_seen.setdefault(q, len(first_seen)) for q in qids])
+    doc_index = np.argsort(group_of, kind="stable")
+    row_of = np.empty_like(doc_index)
+    row_of[doc_index] = np.arange(doc_index.size)
+    features = np.zeros((len(labels), k), dtype=np.float64)
+    features[np.repeat(row_of, widths), cols] = values
+    return Dataset(
+        features=features,
+        labels=np.array(labels)[doc_index],
+        doc_index=doc_index,
+        qids=list(first_seen),
+        counts=np.bincount(group_of),
+    )
 
 
 def compute_norm_stats(ds: Dataset) -> NormStats:
     """Per-feature mean and population std; constant features get std 1."""
-    all_rows = np.concatenate([g.feature_matrix() for g in ds.groups], axis=0)
-    mean = all_rows.mean(axis=0)
-    std = all_rows.std(axis=0)
+    mean = ds.features.mean(axis=0)
+    std = ds.features.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     mean.setflags(write=False)
     std.setflags(write=False)
@@ -202,116 +255,80 @@ def normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
         raise ValidationError(
             f"normalization stats cover {stats.mean.shape[0]} features, dataset has {ds.k}"
         )
-    if np.any(stats.std <= 0):
-        raise ValidationError("normalization std entries must be positive")
-    groups = []
-    for g in ds.groups:
-        docs = []
-        for d in g.docs:
-            feats = (d.features - stats.mean) / stats.std
-            feats.setflags(write=False)
-            docs.append(
-                Document(qid=d.qid, label=d.label, features=feats, doc_index=d.doc_index)
-            )
-        groups.append(QueryGroup(qid=g.qid, docs=docs))
-    return Dataset(groups=groups, k=ds.k, norm_stats=stats)
+    return Dataset(
+        features=(ds.features - stats.mean) / stats.std,
+        labels=ds.labels,
+        doc_index=ds.doc_index,
+        qids=ds.qids,
+        counts=ds.counts,
+        norm_stats=stats,
+    )
 
 
 def write_letor(ds: Dataset, path: str) -> None:
     """Serialize back to the text format (full dense feature lists)."""
+    qid_of_row = np.repeat(ds.qids, ds.counts).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in ds.iter_docs():
-            feats = " ".join(
-                f"{fid}:{float(val)!r}" for fid, val in enumerate(doc.features, start=1)
-            )
-            fh.write(f"{doc.label} qid:{doc.qid} {feats}\n")
+        for label, qid, row in zip(ds.labels.tolist(), qid_of_row, ds.features.tolist()):
+            feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(row, start=1))
+            fh.write(f"{label} qid:{qid} {feats}\n")
 
 
 # ---------------------------------------------------------------------------
-# binary cache
+# binary cache, version 2: the magic, _HEADER (version, has_stats, k, Q, N),
+# then the blocks named in cache_write, all little-endian. The header ends
+# on byte 40 and every block before the labels is a multiple of 8 bytes, so
+# each 8-byte block starts 8-aligned.
 
-_HEADER = struct.Struct("<IBIQQ")  # version, has_stats, k, n_groups, n_docs
-_GROUP = struct.Struct("<qI")  # qid, n
-_DOC = struct.Struct("<BQ")  # label, doc_index
+_HEADER = struct.Struct("<IIQQQ")
+_DATA_START = len(_MAGIC) + _HEADER.size
 
 
 def cache_write(ds: Dataset, path: str) -> None:
-    chunks = [_MAGIC]
-    has_stats = 1 if ds.norm_stats is not None else 0
-    chunks.append(
-        _HEADER.pack(_CACHE_VERSION, has_stats, ds.k, ds.num_queries, ds.num_docs)
-    )
-    if ds.norm_stats is not None:
-        chunks.append(np.ascontiguousarray(ds.norm_stats.mean, dtype=np.float64).tobytes())
-        chunks.append(np.ascontiguousarray(ds.norm_stats.std, dtype=np.float64).tobytes())
-    for g in ds.groups:
-        chunks.append(_GROUP.pack(g.qid, g.n))
-        for d in g.docs:
-            chunks.append(_DOC.pack(d.label, d.doc_index))
-            chunks.append(np.ascontiguousarray(d.features, dtype=np.float64).tobytes())
+    stats = [] if ds.norm_stats is None else [ds.norm_stats.mean, ds.norm_stats.std]
+    blocks = stats + [ds.qids, ds.counts, ds.doc_index, ds.features, ds.labels]
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise CacheCorruptionError(
-                f"cache {self.path} is truncated at byte {self.off}"
-            )
-        out = self.buf[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: struct.Struct):
-        return fmt.unpack(self.take(fmt.size))
-
-    def floats(self, count: int) -> np.ndarray:
-        raw = self.take(count * 8)
-        arr = np.frombuffer(raw, dtype="<f8").copy()
-        arr.setflags(write=False)
-        return arr
+        fh.write(_MAGIC)
+        fh.write(_HEADER.pack(_CACHE_VERSION, len(stats) // 2, ds.k, ds.num_queries, ds.num_docs))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, block.dtype.newbyteorder("<")))
 
 
 def cache_read(path: str) -> Dataset:
     with open(path, "rb") as fh:
         buf = fh.read()
-    r = _Reader(buf, path)
-    magic = r.take(len(_MAGIC))
-    if magic != _MAGIC:
+    if buf[: len(_MAGIC)] != _MAGIC:
         raise IncompatibilityError(f"{path} is not a ranking data cache")
-    version, has_stats, k, n_groups, n_docs = r.unpack(_HEADER)
+    if len(buf) < _DATA_START:
+        raise CacheCorruptionError(f"cache {path} is truncated inside its header")
+    version, has_stats, k, n_queries, n_docs = _HEADER.unpack_from(buf, len(_MAGIC))
     if version != _CACHE_VERSION:
         raise IncompatibilityError(
-            f"cache {path} has version {version}, reader supports {_CACHE_VERSION}"
+            f"cache {path} has version {version}, this reader reads version "
+            f"{_CACHE_VERSION}; re-run `diffrank prepare` to rebuild it"
         )
-    stats = None
-    if has_stats:
-        stats = NormStats(mean=r.floats(k), std=r.floats(k))
-    groups = []
-    total = 0
-    for _ in range(n_groups):
-        qid, n = r.unpack(_GROUP)
-        docs = []
-        for _ in range(n):
-            label, doc_index = r.unpack(_DOC)
-            feats = r.floats(k)
-            docs.append(
-                Document(qid=qid, label=label, features=feats, doc_index=doc_index)
-            )
-        total += n
-        groups.append(QueryGroup(qid=qid, docs=docs))
-    if total != n_docs:
-        raise CacheCorruptionError(
-            f"cache {path} header promised {n_docs} documents, found {total}"
+    if has_stats not in (0, 1):
+        raise CacheCorruptionError(f"cache {path} has a bad stats flag {has_stats}")
+    size = _DATA_START + 8 * (2 * k * has_stats + 2 * n_queries + n_docs * (1 + k)) + n_docs
+    if len(buf) != size:
+        raise CacheCorruptionError(f"cache {path} is {len(buf)} bytes, its header implies {size}")
+    off = _DATA_START
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal off
+        block = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
+        off += block.nbytes
+        return block
+
+    try:
+        stats = NormStats(mean=take("<f8", k), std=take("<f8", k)) if has_stats else None
+        return Dataset(
+            qids=take("<i8", n_queries),
+            counts=take("<i8", n_queries),
+            doc_index=take("<i8", n_docs),
+            features=take("<f8", n_docs * k).reshape(n_docs, k),
+            labels=take("u1", n_docs),
+            norm_stats=stats,
         )
-    if r.off != len(buf):
-        raise CacheCorruptionError(
-            f"cache {path} has {len(buf) - r.off} trailing bytes"
-        )
-    return Dataset(groups=groups, k=k, norm_stats=stats)
+    except ValidationError as e:
+        raise CacheCorruptionError(f"cache {path} is corrupt: {e}") from None

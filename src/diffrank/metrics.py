@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,31 +158,20 @@ def evaluate_rankings(
     return report
 
 
-def evaluate_dataset(
-    ds: Dataset, ranker, cutoffs=DEFAULT_CUTOFFS, workers: int = 1
-) -> MetricsReport:
+def evaluate_dataset(ds: Dataset, ranker, cutoffs=DEFAULT_CUTOFFS) -> MetricsReport:
     """Rank every query with `ranker(group) -> scores` and aggregate.
 
     Per-query wall-clock times are collected for reporting but kept out
     of the serialized metric values, which must be reproducible.
     """
-    groups = list(ds.groups)
-
-    def run(group):
+    orders, seconds = [], []
+    for group in ds.groups:
         start = time.perf_counter()
         scores = ranker(group)
-        elapsed = time.perf_counter() - start
-        return ranking_order(np.asarray(scores)), elapsed
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, groups))
-    else:
-        results = [run(g) for g in groups]
-    orders = [r[0] for r in results]
-    labels_list = [g.labels() for g in groups]
-    report = evaluate_rankings(labels_list, orders, cutoffs)
-    report.per_query_seconds = [r[1] for r in results]
+        seconds.append(time.perf_counter() - start)
+        orders.append(ranking_order(np.asarray(scores)))
+    report = evaluate_rankings([g.labels() for g in ds.groups], orders, cutoffs)
+    report.per_query_seconds = seconds
     return report
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .letor import Dataset, Document, QueryGroup
+from .letor import Dataset
 
 NUM_GRADES = 5
 _CALIBRATION_DRAWS = 20_000
@@ -66,26 +66,29 @@ def make_linear_dataset(
         raise ConfigError("n_queries and n_docs must be >= 1")
     _, _, label_fn = linear_labeler(k, weight_seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    groups = []
-    doc_index = 0
-    for qid in range(1, n_queries + 1):
+    features = np.empty((n_queries, n_docs, k))
+    labels = np.empty((n_queries, n_docs), dtype=np.int64)
+    for q in range(n_queries):
         while True:
             feats = rng.normal(size=(n_docs, k))
-            labels = label_fn(feats)
-            if labels.max() > 0:
+            grades = label_fn(feats)
+            if grades.max() > 0:
                 break
-        docs = [
-            Document(
-                qid=qid,
-                label=int(labels[i]),
-                features=feats[i].copy(),
-                doc_index=doc_index + i,
-            )
-            for i in range(n_docs)
-        ]
-        doc_index += n_docs
-        groups.append(QueryGroup(qid=qid, docs=docs))
-    return Dataset(groups=groups, k=k)
+        features[q], labels[q] = feats, grades
+    return _equal_lists(features, labels)
+
+
+def _equal_lists(features: np.ndarray, labels: np.ndarray) -> Dataset:
+    """Dataset of (Q, n, k) features and (Q, n) labels: qids 1..Q, doc_index
+    the position in query-major order."""
+    n_queries, n_docs, k = features.shape
+    return Dataset(
+        features=features.reshape(-1, k),
+        labels=labels.reshape(-1),
+        doc_index=np.arange(n_queries * n_docs),
+        qids=np.arange(1, n_queries + 1),
+        counts=np.full(n_queries, n_docs),
+    )
 
 
 def make_context_dataset(
@@ -109,28 +112,16 @@ def make_context_dataset(
     if k < 2:
         raise ConfigError(f"context datasets need k >= 2, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    groups = []
-    doc_index = 0
-    for qid in range(1, n_queries + 1):
+    features = np.empty((n_queries, n_docs, k))
+    labels = np.empty((n_queries, n_docs), dtype=np.int64)
+    for q in range(n_queries):
         u = rng.normal(size=n_docs)
         polarity = 1.0 if rng.random() < 0.5 else -1.0
         indicator = polarity + rng.normal(scale=CONTEXT_NOISE_STD, size=n_docs)
-        feats = np.empty((n_docs, k))
-        feats[:, 0] = u
-        feats[:, 1] = indicator
+        features[q, :, 0] = u
+        features[q, :, 1] = indicator
         if k > 2:
-            feats[:, 2:] = rng.normal(size=(n_docs, k - 2))
+            features[q, :, 2:] = rng.normal(size=(n_docs, k - 2))
         ranks = np.argsort(np.argsort(polarity * u))
-        labels = (ranks * NUM_GRADES) // n_docs
-        docs = [
-            Document(
-                qid=qid,
-                label=int(labels[i]),
-                features=feats[i].copy(),
-                doc_index=doc_index + i,
-            )
-            for i in range(n_docs)
-        ]
-        doc_index += n_docs
-        groups.append(QueryGroup(qid=qid, docs=docs))
-    return Dataset(groups=groups, k=k)
+        labels[q] = (ranks * NUM_GRADES) // n_docs
+    return _equal_lists(features, labels)

@@ -197,7 +197,7 @@ def train_step(batch: list[QueryGroup], state: TrainState, config: TrainConfig) 
     cap = config.max_list_size
     feats, labels, steps, noisy = [], [], [], []
     for group in batch:
-        y0 = group.labels()[:cap].astype(np.float64)
+        y0 = group.labels()[:cap]
         t = sample_timestep(state.rng, timesteps)
         eps = state.rng.standard_normal(y0.size)
         feats.append(group.feature_matrix()[:cap])

@@ -521,7 +521,9 @@ def test_criterion_09_real_data_subset(tmp_path):
 
     def subset(name, limit):
         ds = parse_letor(os.path.join(root, "Fold1", f"{name}.txt"))
-        return Dataset(groups=ds.groups[:limit], k=ds.k)
+        rows = int(ds.counts[:limit].sum())
+        return Dataset(ds.features[:rows], ds.labels[:rows], ds.doc_index[:rows],
+                       ds.qids[:limit], ds.counts[:limit])
 
     train_raw = subset("train", 1000)
     valid_raw = subset("vali", 200)

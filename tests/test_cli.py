@@ -16,6 +16,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffrank import autodiff as ad
 from diffrank import cli
@@ -29,11 +31,13 @@ from diffrank.config import (
 from diffrank.errors import (
     ConfigError,
     DataError,
+    DiffrankError,
     IncompatibilityError,
     NumericError,
 )
 from diffrank.gradcheck import run_all_checks
-from diffrank.letor import write_letor
+from diffrank.letor import cache_read, write_letor
+from diffrank.network import load_checkpoint
 from diffrank.synth import make_linear_dataset
 
 # ---------------------------------------------------------------------------
@@ -317,9 +321,36 @@ def test_evaluate_bytes_are_reproducible(workspace, tmp_path):
     assert _evaluate(workspace, first) == 0
     assert _evaluate(workspace, second) == 0
     assert first.read_bytes() == second.read_bytes()
-    with_pool = tmp_path / "pool.csv"
-    assert _evaluate(workspace, with_pool, extra=["--set", "workers=4"]) == 0
-    assert with_pool.read_bytes() == first.read_bytes()
+
+
+def test_removed_workers_key_is_unknown(workspace, tmp_path, capsys):
+    assert _evaluate(workspace, tmp_path / "m.csv", extra=["--set", "workers=4"]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def _v1_cache(k: int) -> bytes:
+    """A one-document cache in the retired version-1 layout."""
+    return (
+        b"DRLTRCH\x00"
+        + struct.pack("<IBIQQ", 1, 0, k, 1, 1)
+        + struct.pack("<qI", 1, 1)
+        + struct.pack("<BQ", 2, 0)
+        + np.zeros(k, dtype="<f8").tobytes()
+    )
+
+
+def test_version_one_cache_asks_for_prepare(workspace, tmp_path, capsys):
+    old = tmp_path / "old.cache"
+    old.write_bytes(_v1_cache(K_FEATURES))
+    code = cli.main([
+        "evaluate",
+        "--checkpoint", str(workspace["checkpoint"]),
+        "--test-cache", str(old),
+        "--out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "version 1" in err and "diffrank prepare" in err
 
 
 def test_evaluate_rejects_feature_width_mismatch(workspace, tmp_path, capsys):
@@ -359,8 +390,6 @@ def test_infer_emits_permutations(workspace, tmp_path):
         fields = row.split(",")
         by_qid.setdefault(fields[0], []).append(fields)
     assert len(by_qid) == 6
-    from diffrank.letor import cache_read
-
     ds = cache_read(str(workspace["test_cache"]))
     for group in ds.groups:
         fields = by_qid[str(group.qid)]
@@ -467,11 +496,6 @@ def test_diversity_bytes_are_reproducible(workspace, tmp_path):
     assert _diversity(workspace, first, extra=["--repeat", "4"]) == 0
     assert _diversity(workspace, second, extra=["--repeat", "4"]) == 0
     assert first.read_bytes() == second.read_bytes()
-    pooled = tmp_path / "pooled.csv"
-    assert _diversity(
-        workspace, pooled, extra=["--repeat", "4", "--set", "workers=3"]
-    ) == 0
-    assert pooled.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -543,3 +567,56 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# corrupted artifacts
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(
+        st.just("flip"),
+        st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 7)), min_size=1, max_size=3),
+    ),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+def _mutated(raw: bytes, mutation) -> bytes:
+    kind, arg = mutation
+    if kind == "truncate":
+        return raw[: arg % len(raw)]
+    if kind == "extend":
+        return raw + arg
+    out = bytearray(raw)
+    for position, bit in arg:
+        out[position % len(out)] ^= 1 << bit
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "artifact,reader", [("test_cache", cache_read), ("checkpoint", load_checkpoint)]
+)
+@given(mutation=_MUTATIONS)
+@settings(max_examples=100, deadline=None)
+def test_corrupted_artifact_ends_as_typed_error(workspace, artifact, reader, mutation):
+    """Truncated, bit-flipped or extended bytes either still read as a
+    valid artifact or raise a DiffrankError, and evaluate exits 3 on them."""
+    paths = {key: workspace[key] for key in ("test_cache", "checkpoint")}
+    paths[artifact] = workspace["root"] / f"fuzzed-{artifact}"
+    paths[artifact].write_bytes(_mutated(workspace[artifact].read_bytes(), mutation))
+    try:
+        reader(str(paths[artifact]))
+        readable = True
+    except DiffrankError:
+        readable = False
+    with np.errstate(all="ignore"):
+        code = cli.main([
+            "evaluate",
+            "--checkpoint", str(paths["checkpoint"]),
+            "--test-cache", str(paths["test_cache"]),
+            "--out", str(workspace["root"] / "fuzzed.csv"),
+            "--set", "reverse_steps=2",
+        ])
+    # a flip can leave a readable artifact whose values overflow: exit 4
+    assert code in ((0, 4) if readable else (3,))

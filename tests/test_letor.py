@@ -1,5 +1,7 @@
 """Parser, normalization, and cache round-trip checks."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,19 @@ class TestParsing:
         assert list(ds.groups[0].doc_indices()) == [0, 1, 3]
         assert list(ds.groups[1].doc_indices()) == [2]
 
+    def test_interleaved_queries_become_contiguous_rows(self, tmp_path):
+        p = tmp_path / "interleaved.txt"
+        p.write_text("1 qid:1 1:10.0\n2 qid:2 1:20.0\n3 qid:1 1:30.0\n")
+        ds = letor.parse_letor(str(p))
+        np.testing.assert_array_equal(ds.qids, [1, 2])
+        np.testing.assert_array_equal(ds.counts, [2, 1])
+        np.testing.assert_array_equal(ds.features[:, 0], [10.0, 30.0, 20.0])
+        np.testing.assert_array_equal(ds.labels, [1, 3, 2])
+        assert [list(g.doc_indices()) for g in ds.groups] == [[0, 2], [1]]
+        # each group's arrays are views of its rows, not copies
+        assert np.shares_memory(ds.groups[0].feature_matrix(), ds.features)
+        assert ds.groups[1].feature_matrix()[0, 0] == 20.0
+
     def test_sparse_features_zero_filled(self, sample_path):
         ds = letor.parse_letor(sample_path)
         assert ds.k == 3
@@ -50,7 +65,7 @@ class TestParsing:
 
     def test_comments_ignored(self, sample_path):
         ds = letor.parse_letor(sample_path)
-        assert ds.groups[0].docs[0].label == 2
+        assert ds.groups[0].labels()[0] == 2
 
     def test_k_hint_widens(self, sample_path):
         ds = letor.parse_letor(sample_path, k_hint=10)
@@ -67,7 +82,7 @@ class TestParsing:
         p.write_text(f"1 qid:1 1:0.5 {width}:1.5\n0 qid:1 2:1.0\n")
         ds = letor.parse_letor(str(p))
         assert ds.k == width
-        assert ds.groups[0].docs[0].features[width - 1] == 1.5
+        assert ds.groups[0].feature_matrix()[0, width - 1] == 1.5
 
     def test_label_out_of_range(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -95,6 +110,12 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             letor.parse_letor(str(p))
         assert ":2" in str(exc.value) and "oops" in str(exc.value)
+
+    def test_query_id_beyond_64_bits_rejected(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"1 qid:1 1:1.0\n1 qid:{2**63} 1:1.0\n")
+        with pytest.raises(ParseError, match=":2"):
+            letor.parse_letor(str(p))
 
     def test_duplicate_feature_id_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -156,24 +177,19 @@ class TestNormalize:
 
 
 def _random_dataset(rng, n_queries=5, k=4):
-    groups = []
-    idx = 0
-    for q in range(n_queries):
-        docs = []
-        for _ in range(int(rng.integers(1, 6))):
-            feats = rng.standard_normal(k)
-            feats.setflags(write=False)
-            docs.append(
-                letor.Document(
-                    qid=q + 1,
-                    label=int(rng.integers(0, 5)),
-                    features=feats,
-                    doc_index=idx,
-                )
-            )
-            idx += 1
-        groups.append(letor.QueryGroup(qid=q + 1, docs=docs))
-    return letor.Dataset(groups=groups, k=k)
+    counts, rows, labels = [], [], []
+    for _ in range(n_queries):
+        counts.append(int(rng.integers(1, 6)))
+        for _ in range(counts[-1]):
+            rows.append(rng.standard_normal(k))
+            labels.append(int(rng.integers(0, 5)))
+    return letor.Dataset(
+        features=np.array(rows),
+        labels=labels,
+        doc_index=np.arange(len(labels)),
+        qids=np.arange(1, n_queries + 1),
+        counts=counts,
+    )
 
 
 def _datasets_equal(a: letor.Dataset, b: letor.Dataset) -> bool:
@@ -189,12 +205,58 @@ def _datasets_equal(a: letor.Dataset, b: letor.Dataset) -> bool:
     for ga, gb in zip(a.groups, b.groups):
         if ga.qid != gb.qid or ga.n != gb.n:
             return False
-        for da, db in zip(ga.docs, gb.docs):
-            if (da.label, da.doc_index) != (db.label, db.doc_index):
-                return False
-            if not np.array_equal(da.features, db.features):
-                return False
+        if not np.array_equal(ga.labels(), gb.labels()):
+            return False
+        if not np.array_equal(ga.doc_indices(), gb.doc_indices()):
+            return False
+        if not np.array_equal(ga.feature_matrix(), gb.feature_matrix()):
+            return False
     return True
+
+
+class TestDataset:
+    def _columns(self, **overrides):
+        columns = dict(
+            features=np.zeros((3, 2)),
+            labels=[0, 4, 1],
+            doc_index=[0, 1, 2],
+            qids=[7, 8],
+            counts=[2, 1],
+        )
+        columns.update(overrides)
+        return columns
+
+    def test_columns_are_read_only(self):
+        ds = letor.Dataset(**self._columns())
+        for column in (ds.features, ds.labels, ds.doc_index, ds.qids, ds.counts):
+            assert not column.flags.writeable
+        assert ds.k == 2 and ds.num_queries == 2 and ds.num_docs == 3
+        assert [g.n for g in ds.groups] == [2, 1]
+        assert ds.groups[0].labels().dtype == np.float64
+        assert ds.groups[0].doc_indices().dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"counts": [3, 0]},
+            {"counts": [2, 2]},
+            {"labels": [0, 5, 1]},
+            {"labels": [0.0, 1.0, 2.0]},
+            {"features": np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]])},
+            {"features": np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -np.inf]])},
+            {"features": np.zeros((3, 0))},
+            {"qids": [7, 7]},
+            {"doc_index": [0, -1, 2]},
+            {"labels": [0, 1]},
+        ],
+        ids=[
+            "empty-query", "counts-sum", "label-range", "float-labels", "nan",
+            "inf", "no-features", "repeated-qid", "negative-doc-index", "short-labels",
+        ],
+    )
+    def test_constructor_rejects_broken_columns(self, overrides):
+        with pytest.raises(ValidationError):
+            letor.Dataset(**self._columns(**overrides))
 
 
 class TestCache:
@@ -253,6 +315,71 @@ class TestCache:
         with pytest.raises(CacheCorruptionError):
             letor.cache_read(path)
 
+    def test_read_gives_aligned_read_only_views(self, rng, tmp_path):
+        path = str(tmp_path / "ds.cache")
+        letor.cache_write(letor.normalize(_random_dataset(rng)), path)
+        ds = letor.cache_read(path)
+        for column in (ds.features, ds.labels, ds.doc_index, ds.qids, ds.counts):
+            assert not column.flags.writeable and column.flags.aligned
+            assert not column.flags.owndata  # a view of the file's bytes
+        assert np.shares_memory(ds.groups[1].feature_matrix(), ds.features)
+
+    # byte offsets of a cache written without stats (header ends at 40)
+    @staticmethod
+    def _blocks(ds):
+        q, n, k = ds.num_queries, ds.num_docs, ds.k
+        counts = 40 + 8 * q
+        features = 40 + 16 * q + 8 * n
+        return {"counts": counts, "features": features, "labels": features + 8 * n * k}
+
+    def _corrupt(self, rng, tmp_path, poke):
+        ds = _random_dataset(rng)
+        path = tmp_path / "ds.cache"
+        letor.cache_write(ds, str(path))
+        raw = bytearray(path.read_bytes())
+        poke(raw, self._blocks(ds), ds)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CacheCorruptionError) as exc:
+            letor.cache_read(str(path))
+        return str(exc.value)
+
+    def test_empty_query_is_corruption(self, rng, tmp_path):
+        def poke(raw, at, ds):
+            # move the first query's rows to the second: counts still sum to N
+            first, second = ds.counts[0], ds.counts[1]
+            raw[at["counts"] : at["counts"] + 16] = struct.pack("<qq", 0, first + second)
+
+        assert "row counts" in self._corrupt(rng, tmp_path, poke)
+
+    def test_label_above_max_is_corruption(self, rng, tmp_path):
+        def poke(raw, at, ds):
+            raw[at["labels"] + 1] = letor.MAX_LABEL + 1
+
+        assert "labels" in self._corrupt(rng, tmp_path, poke)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_is_corruption(self, rng, tmp_path, value):
+        def poke(raw, at, ds):
+            raw[at["features"] + 8 : at["features"] + 16] = struct.pack("<d", value)
+
+        assert "finite" in self._corrupt(rng, tmp_path, poke)
+
+    def test_header_size_mismatch_is_corruption(self, rng, tmp_path):
+        def poke(raw, at, ds):
+            # n_docs is the header's last field, bytes 32..40
+            raw[32:40] = struct.pack("<Q", ds.num_docs + 1)
+
+        assert "header implies" in self._corrupt(rng, tmp_path, poke)
+
+    def test_version_one_cache_asks_for_prepare(self, rng, tmp_path):
+        path = str(tmp_path / "ds.cache")
+        letor.cache_write(_random_dataset(rng), path)
+        raw = bytearray(open(path, "rb").read())
+        raw[8:12] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(IncompatibilityError, match="diffrank prepare"):
+            letor.cache_read(path)
+
 
 class TestTextRoundTrip:
     def test_write_then_parse_recovers_dataset(self, rng, tmp_path):
@@ -276,9 +403,12 @@ def test_partition_property(tmp_path_factory, labels, qids):
     p = tmp_path_factory.mktemp("hyp") / "ds.txt"
     p.write_text("\n".join(lines) + "\n")
     ds = letor.parse_letor(str(p))
-    seen = sorted(d.doc_index for d in ds.iter_docs())
+    seen = sorted(int(i) for g in ds.groups for i in g.doc_indices())
     assert seen == list(range(n))
     for g in ds.groups:
         idx = list(g.doc_indices())
         assert idx == sorted(idx)
-        assert all(d.qid == g.qid for d in g.docs)
+        assert all(qids[i] == g.qid for i in idx)
+        # row i of a group is line doc_index[i] of the file
+        np.testing.assert_array_equal(g.feature_matrix()[:, 0], idx)
+        np.testing.assert_array_equal(g.labels(), [labels[i] for i in idx])

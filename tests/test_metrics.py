@@ -122,24 +122,23 @@ class TestDiversity:
 
 
 def _make_dataset(rng, n_queries=6, docs=5, k=3, zero_query=False):
-    groups = []
-    idx = 0
+    features = np.empty((n_queries, docs, k))
+    labels = np.zeros((n_queries, docs), dtype=np.int64)
     for q in range(n_queries):
-        docs_list = []
-        for _ in range(docs):
-            feats = rng.standard_normal(k)
-            label = 0 if zero_query and q == 0 else int(rng.integers(0, 5))
-            docs_list.append(
-                letor.Document(qid=q + 1, label=label, features=feats, doc_index=idx)
-            )
-            idx += 1
+        for d in range(docs):
+            features[q, d] = rng.standard_normal(k)
+            if not (zero_query and q == 0):
+                labels[q, d] = rng.integers(0, 5)
         # make sure non-zero queries really have signal
-        if not (zero_query and q == 0) and all(d.label == 0 for d in docs_list):
-            docs_list[0] = letor.Document(
-                qid=q + 1, label=2, features=docs_list[0].features, doc_index=docs_list[0].doc_index
-            )
-        groups.append(letor.QueryGroup(qid=q + 1, docs=docs_list))
-    return letor.Dataset(groups=groups, k=k)
+        if not (zero_query and q == 0) and not labels[q].any():
+            labels[q, 0] = 2
+    return letor.Dataset(
+        features=features.reshape(-1, k),
+        labels=labels.reshape(-1),
+        doc_index=np.arange(n_queries * docs),
+        qids=np.arange(1, n_queries + 1),
+        counts=np.full(n_queries, docs),
+    )
 
 
 class TestEvaluateDataset:
@@ -155,27 +154,17 @@ class TestEvaluateDataset:
         assert report.n_excluded == 1
         assert report.n_queries == ds.num_queries - 1
 
-    def test_thread_pool_matches_serial(self, rng):
-        ds = _make_dataset(rng, n_queries=9)
-        ranker = lambda g: g.feature_matrix()[:, 0]
-        a = mt.evaluate_dataset(ds, ranker, workers=1)
-        b = mt.evaluate_dataset(ds, ranker, workers=4)
-        for name in mt.METRICS:
-            for k in a.cutoffs:
-                assert a.values[name][k] == b.values[name][k]
-
     def test_random_ranker_matches_independent_expectation(self):
         """Mean NDCG@10 of a random ranker vs a direct permutation average."""
         rng = np.random.default_rng(77)
         labels = np.array([0, 0, 1, 1, 2, 3, 0, 4, 1, 0, 2, 0], dtype=float)
-        groups = []
-        for q in range(400):
-            docs = [
-                letor.Document(qid=q + 1, label=int(l), features=np.zeros(2), doc_index=i)
-                for i, l in enumerate(labels)
-            ]
-            groups.append(letor.QueryGroup(qid=q + 1, docs=docs))
-        ds = letor.Dataset(groups=groups, k=2)
+        ds = letor.Dataset(
+            features=np.zeros((400 * labels.size, 2)),
+            labels=np.tile(labels.astype(np.int64), 400),
+            doc_index=np.tile(np.arange(labels.size), 400),
+            qids=np.arange(1, 401),
+            counts=np.full(400, labels.size),
+        )
         ranker = lambda g: rng.standard_normal(g.n)
         report = mt.evaluate_dataset(ds, ranker, cutoffs=(10,))
 

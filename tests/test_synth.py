@@ -132,5 +132,5 @@ def test_generator_validation():
 
 def test_doc_indices_are_global_positions():
     ds = make_linear_dataset(n_queries=3, n_docs=4, seed=1)
-    flat = [d.doc_index for g in ds.groups for d in g.docs]
+    flat = [int(i) for g in ds.groups for i in g.doc_indices()]
     assert flat == list(range(12))

@@ -11,7 +11,7 @@ import scipy.stats
 from diffrank import autodiff as ad
 from diffrank.autodiff import Tensor
 from diffrank.errors import ConfigError, IncompatibilityError, NumericError
-from diffrank.letor import Dataset, Document, QueryGroup
+from diffrank.letor import Dataset, QueryGroup
 from diffrank.losses import LossSpec, ranking_loss
 from diffrank.network import DenoiseModel, ModelConfig, load_checkpoint
 from diffrank.schedule import ScheduleSpec, build_schedule, q_sample
@@ -61,22 +61,19 @@ def small_train_config(**overrides) -> TrainConfig:
 
 def tiny_dataset(seed=0, n_queries=8, n_docs=6, k=4) -> Dataset:
     rng = np.random.default_rng(seed)
-    groups = []
-    idx = 0
-    for q in range(1, n_queries + 1):
-        feats = rng.normal(size=(n_docs, k))
-        ranks = np.argsort(np.argsort(feats[:, 0]))
-        labels = (ranks * 5) // n_docs
-        docs = []
-        for d in range(n_docs):
-            docs.append(
-                Document(
-                    qid=q, label=int(labels[d]), features=feats[d], doc_index=idx
-                )
-            )
-            idx += 1
-        groups.append(QueryGroup(qid=q, docs=docs))
-    return Dataset(groups=groups, k=k)
+    feats = np.empty((n_queries, n_docs, k))
+    labels = np.empty((n_queries, n_docs), dtype=np.int64)
+    for q in range(n_queries):
+        feats[q] = rng.normal(size=(n_docs, k))
+        ranks = np.argsort(np.argsort(feats[q, :, 0]))
+        labels[q] = (ranks * 5) // n_docs
+    return Dataset(
+        features=feats.reshape(-1, k),
+        labels=labels.reshape(-1),
+        doc_index=np.arange(n_queries * n_docs),
+        qids=np.arange(1, n_queries + 1),
+        counts=np.full(n_queries, n_docs),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +250,13 @@ def test_train_step_reports_offending_query_on_nan():
     config = small_train_config()
     state = init_state(config)
     bad = ds.groups[1]
-    docs = list(bad.docs)
-    docs[2] = Document(
-        qid=bad.qid, label=docs[2].label, features=np.full(4, np.nan),
-        doc_index=docs[2].doc_index,
-    )
-    batch = [ds.groups[0], QueryGroup(qid=bad.qid, docs=docs), ds.groups[2]]
+    feats = bad.feature_matrix().copy()
+    feats[2] = np.nan
+    batch = [
+        ds.groups[0],
+        QueryGroup(bad.qid, feats, bad.labels(), bad.doc_indices()),
+        ds.groups[2],
+    ]
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match=f"query id {bad.qid} at timestep"):
             train_step(batch, state, config)
@@ -270,11 +268,7 @@ def ragged_groups(lengths, seed=0, k=4) -> list[QueryGroup]:
     for q, n in enumerate(lengths, start=1):
         feats = rng.normal(size=(n, k))
         labels = rng.integers(0, 5, size=n)
-        docs = [
-            Document(qid=q, label=int(labels[d]), features=feats[d], doc_index=d)
-            for d in range(n)
-        ]
-        groups.append(QueryGroup(qid=q, docs=docs))
+        groups.append(QueryGroup(q, feats, labels, np.arange(n)))
     return groups
 
 
@@ -331,7 +325,8 @@ def test_truncation_cap_matches_pretruncated_data():
     full_config = small_train_config(max_list_size=512)
 
     truncated_groups = [
-        QueryGroup(qid=g.qid, docs=g.docs[:4]) for g in ds.groups
+        QueryGroup(g.qid, g.feature_matrix()[:4], g.labels()[:4], g.doc_indices()[:4])
+        for g in ds.groups
     ]
 
     state_a = init_state(capped_config)
