@@ -36,7 +36,6 @@ from .metrics import (
     DEFAULT_CUTOFFS,
     METRICS,
     MetricsReport,
-    evaluate_dataset,
     evaluate_rankings,
     format_report_table,
     ranking_diversity,
@@ -50,7 +49,13 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .sampling import RankOutput, SamplerConfig, rank_query, rank_query_repeated
+from .sampling import (
+    RankOutput,
+    SamplerConfig,
+    rank_query,
+    rank_query_repeated,
+    rank_split,
+)
 from .schedule import (
     SCHEDULE_KINDS,
     ScheduleSpec,
@@ -96,7 +101,6 @@ __all__ = [
     "DEFAULT_CUTOFFS",
     "MetricsReport",
     "evaluate_rankings",
-    "evaluate_dataset",
     "ranking_order",
     "ranking_diversity",
     "report_to_csv",
@@ -110,6 +114,7 @@ __all__ = [
     "SamplerConfig",
     "rank_query",
     "rank_query_repeated",
+    "rank_split",
     "SCHEDULE_KINDS",
     "ScheduleSpec",
     "ScheduleTable",

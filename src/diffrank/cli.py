@@ -22,6 +22,8 @@ import hashlib
 import os
 import statistics
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,15 +45,15 @@ from .letor import (
     parse_letor,
 )
 from .metrics import (
-    evaluate_dataset,
     evaluate_rankings,
     format_report_table,
     ranking_diversity,
+    ranking_order,
     report_to_csv,
 )
 from .network import DenoiseModel, feature_only_variant, load_checkpoint
-from .sampling import SamplerConfig, rank_query, rank_query_repeated
-from .schedule import build_schedule
+from .sampling import SamplerConfig, rank_split
+from .schedule import ScheduleTable, build_schedule
 from .training import fit
 
 
@@ -94,17 +96,27 @@ def _resolved(args: argparse.Namespace, flag_keys: dict[str, str]) -> RunConfig:
     return config
 
 
-def _load_model(path: str) -> DenoiseModel:
-    if not os.path.isfile(path):
-        raise DataError(f"checkpoint {path} does not exist")
-    return load_checkpoint(path)
-
-
-def _check_feature_width(model: DenoiseModel, ds: Dataset, path: str) -> None:
+def _ranking_setup(
+    args: argparse.Namespace, flag_keys: dict[str, str]
+) -> tuple[RunConfig, DenoiseModel, Dataset, ScheduleTable, SamplerConfig]:
+    """Config, checkpoint, test split, schedule table and sampler settings
+    for the commands that rank a split."""
+    config = _resolved(args, flag_keys)
+    if not os.path.isfile(args.checkpoint):
+        raise DataError(f"checkpoint {args.checkpoint} does not exist")
+    model = load_checkpoint(args.checkpoint)
+    ds = _read_cache(config["test_cache"], "test")
     if ds.k != model.config.k:
         raise IncompatibilityError(
-            f"checkpoint expects {model.config.k} features, {path} has {ds.k}"
+            f"checkpoint expects {model.config.k} features, "
+            f"{config['test_cache']} has {ds.k}"
         )
+    sampler = SamplerConfig(
+        reverse_steps=config["reverse_steps"],
+        seed=config["seed"],
+        zero_variance=config["zero_variance"],
+    )
+    return config, model, ds, build_schedule(model.schedule), sampler
 
 
 def _write_text(path: str, text: str) -> None:
@@ -173,8 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     train_ds = _read_cache(config["train_cache"], "train")
     valid_ds = _read_cache(config["valid_cache"], "valid")
-    k = train_ds.k if config["k"] == 0 else None
-    train_config = config.train_config(k)
+    train_config = config.train_config(train_ds.k)
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     snapshot_path = os.path.join(out_dir, "config.txt")
@@ -196,34 +207,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _per_query_rngs(seed: int, ds: Dataset) -> dict[int, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(len(ds.groups))
-    return {g.qid: np.random.default_rng(c) for g, c in zip(ds.groups, children)}
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _resolved(args, {"test_cache": "test_cache", "out_dir": "out_dir"})
-    model = _load_model(args.checkpoint)
-    ds = _read_cache(config["test_cache"], "test")
-    _check_feature_width(model, ds, config["test_cache"])
-    table = build_schedule(model.schedule)
-    sampler = SamplerConfig(
-        reverse_steps=config["reverse_steps"],
-        seed=config["seed"],
-        zero_variance=config["zero_variance"],
+    config, model, ds, table, sampler = _ranking_setup(
+        args, {"test_cache": "test_cache", "out_dir": "out_dir"}
     )
-    rngs = _per_query_rngs(config["seed"], ds)
-
-    def ranker(group):
-        out = rank_query(
-            model, group.feature_matrix(), table, sampler, rng=rngs[group.qid]
-        )
-        return out.scores
-
-    report = evaluate_dataset(ds, ranker, cutoffs=config["cutoffs"])
+    start = time.perf_counter()
+    scores = rank_split(model, ds.groups, table, sampler)
+    seconds = time.perf_counter() - start
+    report = evaluate_rankings(
+        [g.labels() for g in ds.groups],
+        [ranking_order(runs[0]) for runs in scores],
+        cutoffs=config["cutoffs"],
+    )
     csv_path = args.out or os.path.join(config["out_dir"], "metrics.csv")
     _write_text(csv_path, report_to_csv(report))
     print(format_report_table(report))
+    mean_ms = 1000.0 * seconds / max(ds.num_queries, 1)
+    print(f"mean per-query inference time: {mean_ms:.2f} ms")
     print(f"metrics written to {csv_path}")
     return 0
 
@@ -233,27 +233,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    config = _resolved(args, {"cache": "test_cache", "out_dir": "out_dir"})
-    model = _load_model(args.checkpoint)
-    ds = _read_cache(config["test_cache"], "test")
-    _check_feature_width(model, ds, config["test_cache"])
-    table = build_schedule(model.schedule)
-    sampler = SamplerConfig(
-        reverse_steps=config["reverse_steps"],
-        seed=config["seed"],
-        zero_variance=config["zero_variance"],
+    config, model, ds, table, sampler = _ranking_setup(
+        args, {"cache": "test_cache", "out_dir": "out_dir"}
     )
-    rngs = _per_query_rngs(config["seed"], ds)
     lines = ["qid,rank,doc_index,score"]
-    for group in ds.groups:
-        out = rank_query(
-            model, group.feature_matrix(), table, sampler, rng=rngs[group.qid]
-        )
+    for group, runs in zip(ds.groups, rank_split(model, ds.groups, table, sampler)):
+        scores = runs[0]
         doc_indices = group.doc_indices()
-        for rank, position in enumerate(out.order, start=1):
+        for rank, position in enumerate(ranking_order(scores), start=1):
             lines.append(
                 f"{group.qid},{rank},{doc_indices[position]},"
-                f"{float(out.scores[position])!r}"
+                f"{float(scores[position])!r}"
             )
     csv_path = args.out or os.path.join(config["out_dir"], "rankings.csv")
     _write_text(csv_path, "\n".join(lines) + "\n")
@@ -267,46 +257,23 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_diversity(args: argparse.Namespace) -> int:
-    config = _resolved(
+    config, model, ds, table, sampler = _ranking_setup(
         args,
         {"test_cache": "test_cache", "out_dir": "out_dir", "repeat": "repeat"},
     )
-    model = _load_model(args.checkpoint)
-    ds = _read_cache(config["test_cache"], "test")
-    _check_feature_width(model, ds, config["test_cache"])
-    table = build_schedule(model.schedule)
     if args.baseline:
         # reference scorer: predictions ignore the noisy labels, one
         # variance-free step, so all repeats produce the same ranking
         model = feature_only_variant(model)
-        sampler = SamplerConfig(
-            reverse_steps=1, seed=config["seed"], zero_variance=True
-        )
-    else:
-        sampler = SamplerConfig(
-            reverse_steps=config["reverse_steps"],
-            seed=config["seed"],
-            zero_variance=config["zero_variance"],
-        )
+        sampler = replace(sampler, reverse_steps=1, zero_variance=True)
     repeats = config["repeat"]
-    if repeats < 1:
-        raise ConfigError(f"repeat must be at least 1, got {repeats}")
     cutoffs = config["rsd_cutoffs"]
-
-    per_query_orders = []
-    for group in ds.groups:
-        outs = rank_query_repeated(model, group.feature_matrix(), table, sampler, repeats=repeats)
-        per_query_orders.append([o.order for o in outs])
+    per_query_orders = [
+        [ranking_order(chain) for chain in runs]
+        for runs in rank_split(model, ds.groups, table, sampler, repeats=repeats)
+    ]
 
     labels_list = [g.labels() for g in ds.groups]
-    # exact-rational mean: identical repeated rankings must report the
-    # floor value 1/repeats without floating-point drift
-    rsd = {
-        k: float(
-            statistics.mean(ranking_diversity(orders, k) for orders in per_query_orders)
-        )
-        for k in cutoffs
-    }
     per_run_ndcg = {k: [] for k in cutoffs}
     for m in range(repeats):
         report = evaluate_rankings(
@@ -315,33 +282,27 @@ def cmd_diversity(args: argparse.Namespace) -> int:
         for k in cutoffs:
             per_run_ndcg[k].append(report.values["ndcg"][k])
 
-    # exact rational aggregation again: M identical runs must report a
-    # mean equal to the common value and a spread of exactly zero
+    # exact rational aggregation: M identical runs must report the floor
+    # diversity 1/M, a mean equal to the common value and a spread of
+    # exactly zero, without floating-point drift
     ndcg_mean = {k: float(statistics.mean(per_run_ndcg[k])) for k in cutoffs}
-    ndcg_std = {
-        k: float(statistics.pstdev(per_run_ndcg[k])) if repeats > 1 else 0.0
-        for k in cutoffs
-    }
+    summary = {"ndcg_mean": ndcg_mean}
+    if repeats > 1:  # one run has no spread to report
+        summary = {
+            "rsd": {
+                k: float(statistics.mean(ranking_diversity(o, k) for o in per_query_orders))
+                for k in cutoffs
+            },
+            "ndcg_mean": ndcg_mean,
+            "ndcg_std": {k: float(statistics.pstdev(per_run_ndcg[k])) for k in cutoffs},
+        }
     lines = ["metric,k,value"]
     rows = [f"{'':<12}" + "".join(f"{f'@{k}':>10}" for k in cutoffs)]
-    if repeats > 1:
-        for k in cutoffs:
-            lines.append(f"rsd,{k},{rsd[k]!r}")
+    for name, values in summary.items():
+        lines.extend(f"{name},{k},{values[k]!r}" for k in cutoffs)
         rows.append(
-            f"{'rsd':<12}" + "".join(f"{rsd[k]:>10.4f}" for k in cutoffs)
-        )
-    for k in cutoffs:
-        lines.append(f"ndcg_mean,{k},{ndcg_mean[k]!r}")
-    rows.append(
-        f"{'ndcg mean':<12}"
-        + "".join(f"{ndcg_mean[k]:>10.4f}" for k in cutoffs)
-    )
-    if repeats > 1:
-        for k in cutoffs:
-            lines.append(f"ndcg_std,{k},{ndcg_std[k]!r}")
-        rows.append(
-            f"{'ndcg std':<12}"
-            + "".join(f"{ndcg_std[k]:>10.4f}" for k in cutoffs)
+            f"{name.replace('_', ' '):<12}"
+            + "".join(f"{values[k]:>10.4f}" for k in cutoffs)
         )
     csv_path = args.out or os.path.join(config["out_dir"], "diversity.csv")
     _write_text(csv_path, "\n".join(lines) + "\n")

@@ -85,7 +85,6 @@ SCHEMA: dict = {
     "test_cache": (_identity, ""),
     "out_dir": (_identity, "diffrank_out"),
     # model
-    "k": (_parse_int, 0),  # 0 = take the feature count from the cache
     "d_model": (_parse_int, 128),
     "heads": (_parse_int, 4),
     "blocks": (_parse_int, 3),
@@ -153,15 +152,10 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def model_config(self, k: int | None = None) -> ModelConfig:
-        width = self.values["k"] if k is None else k
-        if width < 1:
-            raise ConfigError(
-                "feature count is unset; pass k in the config or point the "
-                "command at a prepared cache"
-            )
+    def model_config(self, k: int) -> ModelConfig:
+        """Model settings for k input features (the data's own width)."""
         return ModelConfig(
-            k=width,
+            k=k,
             d_model=self.values["d_model"],
             heads=self.values["heads"],
             blocks=self.values["blocks"],
@@ -183,7 +177,7 @@ class RunConfig:
             sigma=self.values["sigma"],
         )
 
-    def train_config(self, k: int | None = None) -> TrainConfig:
+    def train_config(self, k: int) -> TrainConfig:
         return TrainConfig(
             model=self.model_config(k),
             schedule=self.schedule_spec(),

@@ -1,10 +1,7 @@
 """Differentiable training objectives over predicted relevance scores.
 
 Every loss takes the predicted scores as an autodiff tensor shaped (n, 1)
-or (n,), the integer labels as a plain array, and an optional boolean
-mask marking which rows are real. Masked rows are removed before any sum
-or pair enumeration, so junk in padded slots cannot leak into the value.
-A fully masked list yields a constant zero (callers may count the skip).
+or (n,) and the integer labels as a plain array.
 
 The pairwise and listwise forms:
   * ranknet       sum over label-ordered pairs of log(1 + exp(s_j - s_i))
@@ -53,23 +50,14 @@ def _zero_like(y_hat: Tensor) -> Tensor:
     return ad.scale(ad.tensor_sum(y_hat), 0.0)
 
 
-def _select(y_hat: Tensor, labels: np.ndarray, mask) -> tuple[Tensor | None, np.ndarray]:
-    """(scores as a (1, m) row, labels (m,)) over the unmasked rows."""
+def _select(y_hat: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """(scores as a (1, n) row, labels (n,))."""
     col = ad.reshape(y_hat, (-1, 1))
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if col.data.shape[0] != labels.size:
         raise ValueError(
             f"scores cover {col.data.shape[0]} documents, labels {labels.size}"
         )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
-        if mask.size != labels.size:
-            raise ValueError(f"mask length {mask.size} does not match {labels.size}")
-        if not mask.any():
-            return None, labels[:0]
-        keep = np.flatnonzero(mask)
-        col = ad.embedding_lookup(col, keep)
-        labels = labels[keep]
     return ad.transpose(col), labels
 
 
@@ -152,10 +140,8 @@ def _ndcgloss2pp(row: Tensor, labels: np.ndarray, mu: float, sigma: float) -> Te
     return ad.scale(ad.tensor_sum(ad.mul(Tensor(weights), logistic)), 1.0 / LN2)
 
 
-def ranking_loss(spec: LossSpec, y_hat: Tensor, labels, mask=None) -> Tensor:
-    row, kept = _select(y_hat, np.asarray(labels), mask)
-    if row is None:
-        return _zero_like(y_hat)
+def ranking_loss(spec: LossSpec, y_hat: Tensor, labels) -> Tensor:
+    row, kept = _select(y_hat, labels)
     if spec.name == "mse":
         return _mse(row, kept)
     if spec.name == "rmse":

@@ -15,12 +15,9 @@ Values live in [0, 1]; scaling by 100 happens only in display code.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .letor import Dataset
 
 METRICS = ("ndcg", "err", "map", "mrr", "precision")
 DEFAULT_CUTOFFS: tuple = (1, 3, 5, 10, 20, "ALL")
@@ -129,7 +126,6 @@ class MetricsReport:
     per_query: dict[str, dict] = field(default_factory=dict)
     n_queries: int = 0
     n_excluded: int = 0
-    per_query_seconds: list[float] = field(default_factory=list)
 
 
 def evaluate_rankings(
@@ -155,23 +151,6 @@ def evaluate_rankings(
         for k in cutoffs:
             vals = report.per_query[name][k]
             report.values[name][k] = float(np.mean(vals)) if vals else 0.0
-    return report
-
-
-def evaluate_dataset(ds: Dataset, ranker, cutoffs=DEFAULT_CUTOFFS) -> MetricsReport:
-    """Rank every query with `ranker(group) -> scores` and aggregate.
-
-    Per-query wall-clock times are collected for reporting but kept out
-    of the serialized metric values, which must be reproducible.
-    """
-    orders, seconds = [], []
-    for group in ds.groups:
-        start = time.perf_counter()
-        scores = ranker(group)
-        seconds.append(time.perf_counter() - start)
-        orders.append(ranking_order(np.asarray(scores)))
-    report = evaluate_rankings([g.labels() for g in ds.groups], orders, cutoffs)
-    report.per_query_seconds = seconds
     return report
 
 
@@ -201,7 +180,4 @@ def format_report_table(report: MetricsReport) -> str:
     rows.append(
         f"queries evaluated: {report.n_queries}, excluded (all-zero labels): {report.n_excluded}"
     )
-    if report.per_query_seconds:
-        mean_ms = 1000.0 * float(np.mean(report.per_query_seconds))
-        rows.append(f"mean per-query inference time: {mean_ms:.2f} ms")
     return "\n".join(rows)

@@ -344,7 +344,7 @@ def _manifest(manifest, expected: dict[str, tuple[int, int]], path: str):
     return [(name, expected[name]) for name, _ in entries]
 
 
-def load_checkpoint(path: str, expected_config: ModelConfig | None = None) -> DenoiseModel:
+def load_checkpoint(path: str) -> DenoiseModel:
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -386,21 +386,16 @@ def load_checkpoint(path: str, expected_config: ModelConfig | None = None) -> De
         raise IncompatibilityError(
             f"checkpoint {path} stores {dtype.name} parameters, expected floats"
         )
-    if expected_config is not None and config != expected_config:
-        diffs = [
-            f"{field}: checkpoint={getattr(config, field)!r} expected={getattr(expected_config, field)!r}"
-            for field in config.__dataclass_fields__
-            if getattr(config, field) != getattr(expected_config, field)
-        ]
-        raise IncompatibilityError(
-            f"checkpoint {path} does not match the requested model: " + "; ".join(diffs)
-        )
     params: dict[str, Tensor] = {}
     for name, shape in _manifest(header["params"], _param_shapes(config), path):
         nbytes = int(np.prod(shape)) * dtype.itemsize
         if off + nbytes > len(buf):
             raise CacheCorruptionError(f"checkpoint {path} is truncated")
         arr = np.frombuffer(buf[off : off + nbytes], dtype=dtype).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CacheCorruptionError(
+                f"checkpoint {path} parameter {name} holds non-finite values"
+            )
         params[name] = Tensor(arr, requires_grad=True)
         off += nbytes
     if off != len(buf):

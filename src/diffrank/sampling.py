@@ -17,16 +17,22 @@ The encoder sees only the document features, so a query is encoded once
 per reverse process and each visited step costs one call to the denoise
 head. Repeated runs of one query share that encoding and advance as one
 stacked batch of chains, each drawing from its own generator.
+
+rank_split ranks every query of a split with one strided schedule and one
+documented rule for the random stream each query draws from; every
+command that ranks a whole split goes through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, IncompatibilityError, NumericError
+from .letor import QueryGroup
 from .metrics import ranking_order
 from .network import DenoiseModel
 from .schedule import ScheduleTable, posterior, strided_table
@@ -80,24 +86,31 @@ def _check_compatible(model: DenoiseModel, table: ScheduleTable) -> None:
         )
 
 
+def _strided(
+    model: DenoiseModel, table: ScheduleTable, cfg: SamplerConfig
+) -> tuple[list[int], ScheduleTable]:
+    """Visited timesteps (descending) and the table re-derived over them."""
+    _check_compatible(model, table)
+    visited = stride_schedule(table.timesteps, cfg.reverse_steps)
+    return visited, strided_table(table, list(reversed(visited)))
+
+
 def _reverse(
     model: DenoiseModel,
     features: np.ndarray,
-    table: ScheduleTable,
+    schedule: tuple[list[int], ScheduleTable],
     cfg: SamplerConfig,
     rngs: list[np.random.Generator],
     y_init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run one reverse chain per generator on one query; (M, n) scores.
 
-    The documents are encoded once. The M chains share that context,
-    tiled to M*n rows, so each visited step is one denoise call. Chain m
-    draws only from rngs[m]: its starting noise, then one draw per
-    non-final step.
+    `schedule` is what _strided returns. The documents are encoded once.
+    The M chains share that context, tiled to M*n rows, so each visited
+    step is one denoise call. Chain m draws only from rngs[m]: its
+    starting noise, then one draw per non-final step.
     """
-    _check_compatible(model, table)
-    visited = stride_schedule(table.timesteps, cfg.reverse_steps)
-    effective = strided_table(table, list(reversed(visited)))
+    visited, effective = schedule
     features = np.asarray(features)
     n, m = features.shape[0], len(rngs)
     if y_init is None:
@@ -133,7 +146,7 @@ def rank_query(
     """Run the reverse process on one query list and rank its documents."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    scores = _reverse(model, features, table, cfg, [rng], y_init)[0]
+    scores = _reverse(model, features, _strided(model, table, cfg), cfg, [rng], y_init)[0]
     return RankOutput(scores=scores, order=ranking_order(scores))
 
 
@@ -152,5 +165,36 @@ def rank_query_repeated(
     rngs = [np.random.default_rng(child) for child in children]
     return [
         RankOutput(scores=scores, order=ranking_order(scores))
-        for scores in _reverse(model, features, table, cfg, rngs)
+        for scores in _reverse(model, features, _strided(model, table, cfg), cfg, rngs)
     ]
+
+
+def rank_split(
+    model: DenoiseModel,
+    groups: Sequence[QueryGroup],
+    table: ScheduleTable,
+    cfg: SamplerConfig,
+    repeats: int = 1,
+    seed_seq: np.random.SeedSequence | None = None,
+) -> list[np.ndarray]:
+    """Rank every query of a split; one (repeats, n) score array per query,
+    in group order.
+
+    The strided schedule is built once for the whole split. Streams: query
+    i draws from child i of seed_seq.spawn(len(groups)), where seed_seq
+    defaults to SeedSequence(cfg.seed). A single chain seeds its generator
+    with that child directly, so it ranks exactly as
+    rank_query(..., rng=default_rng(child)); with repeats > 1, chain m uses
+    child.spawn(repeats)[m], so no two queries share a stream.
+    """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    schedule = _strided(model, table, cfg)
+    if seed_seq is None:
+        seed_seq = np.random.SeedSequence(cfg.seed)
+    out = []
+    for group, child in zip(groups, seed_seq.spawn(len(groups))):
+        streams = [child] if repeats == 1 else child.spawn(repeats)
+        rngs = [np.random.default_rng(s) for s in streams]
+        out.append(_reverse(model, group.feature_matrix(), schedule, cfg, rngs))
+    return out

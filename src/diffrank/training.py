@@ -29,9 +29,9 @@ from .autodiff import Tensor
 from .errors import ConfigError, IncompatibilityError, NumericError, ShapeError
 from .letor import Dataset, QueryGroup
 from .losses import LossSpec, ranking_loss
-from .metrics import evaluate_rankings
+from .metrics import evaluate_rankings, ranking_order
 from .network import DenoiseModel, ModelConfig, save_checkpoint
-from .sampling import SamplerConfig, rank_query
+from .sampling import SamplerConfig, rank_split
 from .schedule import ScheduleSpec, ScheduleTable, build_schedule, q_sample
 
 _DTYPES = ("float32", "float64")
@@ -237,16 +237,12 @@ def _validate_ndcg10(
     seed_seq: np.random.SeedSequence,
 ) -> float:
     cfg = SamplerConfig(reverse_steps=min(reverse_steps, table.timesteps))
-    children = seed_seq.spawn(len(valid.groups))
-    orders = []
-    labels_list = []
-    for group, child in zip(valid.groups, children):
-        out = rank_query(
-            model, group.feature_matrix(), table, cfg, rng=np.random.default_rng(child)
-        )
-        orders.append(out.order)
-        labels_list.append(group.labels())
-    report = evaluate_rankings(labels_list, orders, cutoffs=(10,))
+    scores = rank_split(model, valid.groups, table, cfg, seed_seq=seed_seq)
+    report = evaluate_rankings(
+        [g.labels() for g in valid.groups],
+        [ranking_order(runs[0]) for runs in scores],
+        cutoffs=(10,),
+    )
     return float(report.values["ndcg"][10])
 
 

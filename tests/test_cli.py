@@ -29,6 +29,7 @@ from diffrank.config import (
     resolve_config,
 )
 from diffrank.errors import (
+    CacheCorruptionError,
     ConfigError,
     DataError,
     DiffrankError,
@@ -37,7 +38,7 @@ from diffrank.errors import (
 )
 from diffrank.gradcheck import run_all_checks
 from diffrank.letor import cache_read, write_letor
-from diffrank.network import load_checkpoint
+from diffrank.network import load_checkpoint, save_checkpoint
 from diffrank.synth import make_linear_dataset
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,6 @@ def test_apply_overrides_layers_on_top():
 
 def test_typed_builders():
     config = resolve_config(overrides=["d_model=32", "heads=4"])
-    with pytest.raises(ConfigError, match="feature count"):
-        config.model_config()
     train_config = config.train_config(k=5)
     assert train_config.model.k == 5
     assert train_config.model.d_model == 32
@@ -326,6 +325,29 @@ def test_evaluate_bytes_are_reproducible(workspace, tmp_path):
 def test_removed_workers_key_is_unknown(workspace, tmp_path, capsys):
     assert _evaluate(workspace, tmp_path / "m.csv", extra=["--set", "workers=4"]) == 2
     assert "workers" in capsys.readouterr().err
+
+
+def test_removed_k_key_is_unknown(workspace, tmp_path, capsys):
+    # the feature count always comes from the data
+    assert _evaluate(workspace, tmp_path / "m.csv", extra=["--set", "k=5"]) == 2
+    assert "'k'" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_parameter_exits_3(workspace, tmp_path, capsys):
+    model = load_checkpoint(str(workspace["checkpoint"]))
+    model.params["den0.b"].data[0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(model, str(bad))
+    with pytest.raises(CacheCorruptionError, match="den0.b"):
+        load_checkpoint(str(bad))
+    code = cli.main([
+        "evaluate",
+        "--checkpoint", str(bad),
+        "--test-cache", str(workspace["test_cache"]),
+        "--out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 3
+    assert "den0.b" in capsys.readouterr().err
 
 
 def _v1_cache(k: int) -> bytes:

@@ -15,9 +15,9 @@ from diffrank.gradcheck import loss_gradient_check
 from diffrank.losses import LOSS_NAMES, LossSpec, ranking_loss
 
 
-def _loss(name, scores, labels, mask=None, **kw):
+def _loss(name, scores, labels, **kw):
     spec = LossSpec(name=name, **kw)
-    return ranking_loss(spec, Tensor(np.asarray(scores, dtype=np.float64)), labels, mask)
+    return ranking_loss(spec, Tensor(np.asarray(scores, dtype=np.float64)), labels)
 
 
 class TestMse:
@@ -160,24 +160,6 @@ class TestCommon:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
             LossSpec(name="approxndcg", t_smooth=0.0)
-
-    @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_masked_rows_are_inert(self, name, rng):
-        scores = np.array([0.4, 99.0, -0.7, 1.2, -50.0])
-        labels = np.array([2, 3, 0, 1, 4])
-        mask = np.array([True, False, True, True, False])
-        base = _loss(name, scores, labels, mask).item()
-        scores2 = scores.copy()
-        scores2[~mask] = rng.standard_normal(2) * 1e6
-        labels2 = labels.copy()
-        labels2[~mask] = [0, 1]
-        again = _loss(name, scores2, labels2, mask).item()
-        assert base == pytest.approx(again, abs=1e-12)
-
-    @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_fully_masked_list_returns_zero(self, name):
-        val = _loss(name, [1.0, 2.0], [1, 0], np.array([False, False]))
-        assert val.item() == 0.0
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_nonnegative_except_approxndcg(self, name, rng):

@@ -141,16 +141,23 @@ def _make_dataset(rng, n_queries=6, docs=5, k=3, zero_query=False):
     )
 
 
+def _evaluate(ds, ranker, cutoffs=mt.DEFAULT_CUTOFFS):
+    """Score every query with ranker(group) and evaluate the orders, as
+    `diffrank evaluate` does with the sampler's scores."""
+    orders = [mt.ranking_order(ranker(g)) for g in ds.groups]
+    return mt.evaluate_rankings([g.labels() for g in ds.groups], orders, cutoffs)
+
+
 class TestEvaluateDataset:
     def test_oracle_ranker_maximizes_every_metric(self, rng):
         ds = _make_dataset(rng)
-        report = mt.evaluate_dataset(ds, lambda g: g.labels(), cutoffs=(1, 3, "ALL"))
+        report = _evaluate(ds, lambda g: g.labels(), cutoffs=(1, 3, "ALL"))
         for k in (1, 3, "ALL"):
             assert report.values["ndcg"][k] == pytest.approx(1.0)
 
     def test_all_zero_queries_excluded_and_counted(self, rng):
         ds = _make_dataset(rng, zero_query=True)
-        report = mt.evaluate_dataset(ds, lambda g: g.labels())
+        report = _evaluate(ds, lambda g: g.labels())
         assert report.n_excluded == 1
         assert report.n_queries == ds.num_queries - 1
 
@@ -166,7 +173,7 @@ class TestEvaluateDataset:
             counts=np.full(400, labels.size),
         )
         ranker = lambda g: rng.standard_normal(g.n)
-        report = mt.evaluate_dataset(ds, ranker, cutoffs=(10,))
+        report = _evaluate(ds, ranker, cutoffs=(10,))
 
         oracle_rng = np.random.default_rng(1234)
         samples = []
@@ -178,14 +185,14 @@ class TestEvaluateDataset:
     def test_csv_is_deterministic_and_raw_scaled(self, rng):
         ds = _make_dataset(rng)
         ranker = lambda g: g.labels()
-        a = mt.report_to_csv(mt.evaluate_dataset(ds, ranker))
-        b = mt.report_to_csv(mt.evaluate_dataset(ds, ranker))
+        a = mt.report_to_csv(_evaluate(ds, ranker))
+        b = mt.report_to_csv(_evaluate(ds, ranker))
         assert a == b
         assert "ndcg,1,1.0," in a
 
     def test_table_scales_by_hundred(self, rng):
         ds = _make_dataset(rng)
-        table = mt.format_report_table(mt.evaluate_dataset(ds, lambda g: g.labels()))
+        table = mt.format_report_table(_evaluate(ds, lambda g: g.labels()))
         assert "100.00" in table
 
 

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from diffrank import sampling
 from diffrank.errors import ConfigError, IncompatibilityError
+from diffrank.letor import Dataset
 from diffrank.network import DenoiseModel, ModelConfig
 from diffrank.sampling import (
     RankOutput,
     SamplerConfig,
     rank_query,
     rank_query_repeated,
+    rank_split,
     stride_schedule,
 )
 from diffrank.schedule import ScheduleSpec, build_schedule, strided_table
@@ -277,3 +280,113 @@ def test_repeats_must_be_positive(table, feats):
     model = small_model()
     with pytest.raises(ConfigError):
         rank_query_repeated(model, feats, table, SamplerConfig(reverse_steps=2), repeats=0)
+
+
+# ---------------------------------------------------------------------------
+# whole splits
+
+
+def make_split(rng, counts=(3, 6, 4), features=None) -> Dataset:
+    n = sum(counts)
+    if features is None:
+        features = rng.normal(size=(n, 4))
+    return Dataset(
+        features=features,
+        labels=rng.integers(0, 5, size=n),
+        doc_index=np.arange(n),
+        qids=np.arange(1, len(counts) + 1),
+        counts=np.array(counts),
+    )
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_split_query_i_draws_from_child_i(table, rng, dtype):
+    model = small_model(dtype=dtype)
+    split = make_split(rng)
+    cfg = SamplerConfig(reverse_steps=5, seed=9)
+    scores = rank_split(model, split.groups, table, cfg)
+    children = np.random.SeedSequence(9).spawn(3)
+    assert len(scores) == 3
+    for group, runs, child in zip(split.groups, scores, children):
+        single = rank_query(
+            model, group.feature_matrix(), table, cfg, rng=np.random.default_rng(child)
+        )
+        assert runs.shape == (1, group.n)
+        np.testing.assert_array_equal(runs[0], single.scores)
+
+
+def test_one_query_split_equals_rank_query_default(table, rng):
+    model = small_model()
+    group = make_split(rng, counts=(7,)).groups[0]
+    cfg = SamplerConfig(reverse_steps=4, seed=13)
+    (runs,) = rank_split(model, [group], table, cfg)
+    np.testing.assert_array_equal(
+        runs[0], rank_query(model, group.feature_matrix(), table, cfg).scores
+    )
+
+
+def test_split_seed_seq_replaces_the_config_seed(table, rng):
+    model = small_model()
+    split = make_split(rng)
+    given = rank_split(
+        model, split.groups, table, SamplerConfig(reverse_steps=3, seed=0),
+        seed_seq=np.random.SeedSequence(5),
+    )
+    seeded = rank_split(model, split.groups, table, SamplerConfig(reverse_steps=3, seed=5))
+    for a, b in zip(given, seeded):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_split_repeats_use_the_query_child_spawn(table, rng):
+    # chains are stacked, so they match single chains up to float32 rounding
+    model = small_model(dtype="float32")
+    split = make_split(rng)
+    cfg = SamplerConfig(reverse_steps=6, seed=2)
+    scores = rank_split(model, split.groups, table, cfg, repeats=4)
+    children = np.random.SeedSequence(2).spawn(3)
+    for group, runs, child in zip(split.groups, scores, children):
+        assert runs.shape == (4, group.n)
+        for chain, stream in zip(runs, child.spawn(4)):
+            single = rank_query(
+                model, group.feature_matrix(), table, cfg,
+                rng=np.random.default_rng(stream),
+            )
+            np.testing.assert_allclose(chain, single.scores, rtol=0, atol=1e-4)
+
+
+def test_split_builds_the_strided_table_once(table, rng, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return strided_table(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "strided_table", spy)
+    rank_split(small_model(), make_split(rng).groups, table,
+               SamplerConfig(reverse_steps=4), repeats=2)
+    assert len(calls) == 1
+
+
+def test_split_rejects_schedule_mismatch_and_zero_repeats(table, rng):
+    model = small_model()
+    groups = make_split(rng).groups
+    wrong = build_schedule(ScheduleSpec(kind="cosine", timesteps=12))
+    with pytest.raises(IncompatibilityError):
+        rank_split(model, groups, wrong, SamplerConfig(reverse_steps=2))
+    with pytest.raises(ConfigError):
+        rank_split(model, groups, table, SamplerConfig(reverse_steps=2), repeats=0)
+
+
+def test_identical_queries_get_their_own_streams(table, rng):
+    model = small_model()
+    feats = rng.normal(size=(5, 4))
+    split = make_split(rng, counts=(5, 5), features=np.vstack([feats, feats]))
+    cfg = SamplerConfig(reverse_steps=4, seed=3)
+    first, second = rank_split(model, split.groups, table, cfg, repeats=4)
+    assert not np.array_equal(first, second)
+    # one query at a time, both would reuse SeedSequence(seed).spawn(4)
+    shared = [
+        np.stack([o.scores for o in rank_query_repeated(model, g.feature_matrix(), table, cfg, 4)])
+        for g in split.groups
+    ]
+    np.testing.assert_array_equal(shared[0], shared[1])
