@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Graph recording is a per-thread property: a worker pool may run many
-# inference contexts concurrently, and a shared flag could be restored
-# out of order across threads.
+# Graph recording is a per-thread property: no_grad in one thread must not
+# switch off recording in another thread that is building a graph.
 _GRAD_STATE = threading.local()
 
 
@@ -85,28 +84,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # Sugar used throughout the network and loss code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis=axis)
-
     def backward(self):
         backward(self)
 
@@ -131,11 +108,6 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     if g.shape == tuple(shape):
         return g
     return np.asarray(g.sum()).reshape(shape)
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def backward(loss: Tensor) -> None:
@@ -298,19 +270,6 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
     return _result(data, (x,), back)
 
 
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a 2-d tensor, got shape {x.data.shape}")
-    data = x.data.T.copy()
-
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g.T)
-
-    return _result(data, (x,), back)
-
-
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     data = x.data.reshape(shape)
@@ -422,17 +381,6 @@ def log(x) -> Tensor:
     return _result(data, (x,), back)
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.exp(x.data)
-
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g * data)
-
-    return _result(data, (x,), back)
-
-
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
     if np.any(x.data <= 0):
@@ -492,14 +440,11 @@ def tensor_sum(x, axis=None) -> Tensor:
     return _result(data, (x,), back)
 
 
-def tensor_mean(x, axis=None) -> Tensor:
+def tensor_mean(x) -> Tensor:
+    """Mean over every entry, as a single-element tensor."""
     x = _as_tensor(x)
-    if axis is None:
-        count = x.data.size
-        data = np.asarray(x.data.mean())
-    else:
-        count = x.data.shape[axis]
-        data = x.data.mean(axis=axis, keepdims=True)
+    count = x.data.size
+    data = np.asarray(x.data.mean())
 
     def back(g):
         if x.requires_grad:

@@ -119,325 +119,120 @@ class CheckResult:
         return np.isfinite(self.worst) and self.worst <= self.tol
 
 
-def _run_op_case(build, rng, trials: int) -> float:
+def _normal(*shapes):
+    """make_inputs drawing one standard-normal array per shape, in order."""
+    return lambda r: [r.standard_normal(s) for s in shapes]
+
+
+# (name, make_inputs, op) covering every differentiable engine op.
+# make_inputs(rng) draws the input arrays and op maps their tensors to the
+# op's output. Each op sits behind a lambda, so it is looked up in the
+# engine module at call time.
+OP_CASES = (
+    ("matmul", _normal((3, 4), (4, 2)), lambda ts: ad.matmul(*ts)),
+    ("add", _normal((3, 4), (3, 4)), lambda ts: ad.add(*ts)),
+    ("add_scalar", _normal((3, 4), (1, 1)), lambda ts: ad.add(*ts)),
+    ("sub", _normal((3, 4), (3, 4)), lambda ts: ad.sub(*ts)),
+    ("mul", _normal((3, 4), (3, 4)), lambda ts: ad.mul(*ts)),
+    ("mul_scalar", _normal((3, 4), (1, 1)), lambda ts: ad.mul(*ts)),
+    ("scale", _normal((3, 4)), lambda ts: ad.scale(ts[0], -1.7)),
+    ("concat", _normal((3, 2), (3, 3)), lambda ts: ad.concat(ts)),
+    ("slice_cols", _normal((3, 5)), lambda ts: ad.slice_cols(ts[0], 1, 4)),
+    ("reshape", _normal((3, 4)), lambda ts: ad.reshape(ts[0], (2, 6))),
+    ("broadcast_rows", _normal((1, 4)), lambda ts: ad.broadcast_rows(ts[0], 3)),
+    (
+        "broadcast_rows_counts",
+        _normal((3, 4)),
+        lambda ts: ad.broadcast_rows(ts[0], [2, 1, 3]),
+    ),
+    (
+        "embedding_lookup",
+        _normal((6, 4)),
+        lambda ts: ad.embedding_lookup(ts[0], np.array([0, 2, 2, 5])),
+    ),
+    ("softplus", _normal((3, 4)), lambda ts: ad.softplus(ts[0])),
+    ("sigmoid", _normal((3, 4)), lambda ts: ad.sigmoid(ts[0])),
+    (
+        "log",
+        lambda r: [0.5 + np.abs(r.standard_normal((3, 4)))],
+        lambda ts: ad.log(ts[0]),
+    ),
+    (
+        "sqrt",
+        lambda r: [0.5 + np.abs(r.standard_normal((3, 4)))],
+        lambda ts: ad.sqrt(ts[0]),
+    ),
+    (
+        "reciprocal",
+        lambda r: [
+            np.sign(r.standard_normal((3, 4))) * (1.0 + np.abs(r.standard_normal((3, 4))))
+        ],
+        lambda ts: ad.reciprocal(ts[0]),
+    ),
+    (
+        "softmax",
+        lambda r: [2.0 * r.standard_normal((3, 4))],
+        lambda ts: ad.softmax(ts[0]),
+    ),
+    ("tensor_sum", _normal((3, 4)), lambda ts: ad.tensor_sum(ts[0])),
+    ("tensor_sum_axis0", _normal((3, 4)), lambda ts: ad.tensor_sum(ts[0], axis=0)),
+    ("tensor_mean", _normal((3, 4)), lambda ts: ad.tensor_mean(ts[0])),
+    (
+        "layer_norm",
+        lambda r: [
+            r.standard_normal((3, 4)),
+            1.0 + 0.1 * r.standard_normal((1, 4)),
+            0.1 * r.standard_normal((1, 4)),
+        ],
+        lambda ts: ad.layer_norm(*ts),
+    ),
+    (
+        "attention",
+        _normal((6, 4), (6, 4), (6, 4)),
+        # three ragged segments, two heads of width 2
+        lambda ts: ad.attention(*ts, [1, 3, 2], heads=2),
+    ),
+    (
+        "dropout",
+        _normal((3, 4)),
+        # a fresh identically seeded generator per call keeps the mask
+        # constant across the FD stencil
+        lambda ts: ad.dropout(ts[0], 0.3, training=True, rng=np.random.default_rng(1234)),
+    ),
+    ("linear", _normal((3, 4), (4, 2), (1, 2)), lambda ts: ad.linear(*ts)),
+)
+
+
+def _run_op_case(make_inputs, op, rng, trials: int) -> float:
     """Worst FD error for one op case over several random instances.
 
-    build(rng) returns (input arrays, forward) where forward maps a list
-    of tensors to a scalar tensor. Ops are resolved through the engine
-    module at call time, and every case folds its output through a fixed
-    random weight so each op's backward sees a generic cotangent.
+    Each instance draws its inputs, then a cotangent weight of op's output
+    shape, and checks the gradient of sum(op(inputs) * weight), so each
+    op's backward sees a generic cotangent.
     """
     worst = 0.0
     for _ in range(trials):
-        arrays, forward = build(rng)
+        arrays = make_inputs(rng)
+        leaves = [ad.Tensor(np.array(a), requires_grad=True) for a in arrays]
+        out = op(leaves)
+        weight = ad.Tensor(rng.standard_normal(out.data.shape))
+        ad.backward(ad.tensor_sum(ad.mul(out, weight)))
 
         def f(arrs):
-            return forward([ad.Tensor(np.array(a)) for a in arrs]).item()
+            out = op([ad.Tensor(np.array(a)) for a in arrs])
+            return ad.tensor_sum(ad.mul(out, weight)).item()
 
-        leaves = [ad.Tensor(np.array(a), requires_grad=True) for a in arrays]
-        ad.backward(forward(leaves))
         worst = max(worst, check_gradients(f, arrays, [leaf.grad for leaf in leaves]))
     return worst
-
-
-def _weighted(out, weight: np.ndarray):
-    return ad.tensor_sum(ad.mul(out, ad.Tensor(weight)))
-
-
-def _op_cases() -> list:
-    """(name, build) pairs covering every differentiable engine op."""
-
-    def with_weight(shape, rng, make_inputs, apply_op):
-        arrays = make_inputs(rng)
-        w = rng.standard_normal(shape)
-        return arrays, lambda ts: _weighted(apply_op(ts), w)
-
-    cases = [
-        (
-            "matmul",
-            lambda rng: with_weight(
-                (3, 2),
-                rng,
-                lambda r: [r.standard_normal((3, 4)), r.standard_normal((4, 2))],
-                lambda ts: ad.matmul(ts[0], ts[1]),
-            ),
-        ),
-        (
-            "add",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4)), r.standard_normal((3, 4))],
-                lambda ts: ad.add(ts[0], ts[1]),
-            ),
-        ),
-        (
-            "add_scalar",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4)), r.standard_normal((1, 1))],
-                lambda ts: ad.add(ts[0], ts[1]),
-            ),
-        ),
-        (
-            "sub",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4)), r.standard_normal((3, 4))],
-                lambda ts: ad.sub(ts[0], ts[1]),
-            ),
-        ),
-        (
-            "mul",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4)), r.standard_normal((3, 4))],
-                lambda ts: ad.mul(ts[0], ts[1]),
-            ),
-        ),
-        (
-            "mul_scalar",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4)), r.standard_normal((1, 1))],
-                lambda ts: ad.mul(ts[0], ts[1]),
-            ),
-        ),
-        (
-            "scale",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.scale(ts[0], -1.7),
-            ),
-        ),
-        (
-            "concat",
-            lambda rng: with_weight(
-                (3, 5),
-                rng,
-                lambda r: [r.standard_normal((3, 2)), r.standard_normal((3, 3))],
-                lambda ts: ad.concat(ts),
-            ),
-        ),
-        (
-            "slice_cols",
-            lambda rng: with_weight(
-                (3, 3),
-                rng,
-                lambda r: [r.standard_normal((3, 5))],
-                lambda ts: ad.slice_cols(ts[0], 1, 4),
-            ),
-        ),
-        (
-            "transpose",
-            lambda rng: with_weight(
-                (4, 3),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.transpose(ts[0]),
-            ),
-        ),
-        (
-            "reshape",
-            lambda rng: with_weight(
-                (2, 6),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.reshape(ts[0], (2, 6)),
-            ),
-        ),
-        (
-            "broadcast_rows",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((1, 4))],
-                lambda ts: ad.broadcast_rows(ts[0], 3),
-            ),
-        ),
-        (
-            "broadcast_rows_counts",
-            lambda rng: with_weight(
-                (6, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.broadcast_rows(ts[0], [2, 1, 3]),
-            ),
-        ),
-        (
-            "embedding_lookup",
-            lambda rng: with_weight(
-                (4, 4),
-                rng,
-                lambda r: [r.standard_normal((6, 4))],
-                lambda ts: ad.embedding_lookup(ts[0], np.array([0, 2, 2, 5])),
-            ),
-        ),
-        (
-            "softplus",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.softplus(ts[0]),
-            ),
-        ),
-        (
-            "sigmoid",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.sigmoid(ts[0]),
-            ),
-        ),
-        (
-            "log",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [0.5 + np.abs(r.standard_normal((3, 4)))],
-                lambda ts: ad.log(ts[0]),
-            ),
-        ),
-        (
-            "exp",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [0.5 * r.standard_normal((3, 4))],
-                lambda ts: ad.exp(ts[0]),
-            ),
-        ),
-        (
-            "sqrt",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [0.5 + np.abs(r.standard_normal((3, 4)))],
-                lambda ts: ad.sqrt(ts[0]),
-            ),
-        ),
-        (
-            "reciprocal",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [np.sign(r.standard_normal((3, 4))) * (1.0 + np.abs(r.standard_normal((3, 4))))],
-                lambda ts: ad.reciprocal(ts[0]),
-            ),
-        ),
-        (
-            "softmax",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [2.0 * r.standard_normal((3, 4))],
-                lambda ts: ad.softmax(ts[0]),
-            ),
-        ),
-        (
-            "tensor_sum",
-            lambda rng: with_weight(
-                (),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.tensor_sum(ts[0]),
-            ),
-        ),
-        (
-            "tensor_sum_axis0",
-            lambda rng: with_weight(
-                (1, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.tensor_sum(ts[0], axis=0),
-            ),
-        ),
-        (
-            "tensor_mean",
-            lambda rng: with_weight(
-                (),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.tensor_mean(ts[0]),
-            ),
-        ),
-        (
-            "tensor_mean_axis1",
-            lambda rng: with_weight(
-                (3, 1),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                lambda ts: ad.tensor_mean(ts[0], axis=1),
-            ),
-        ),
-        (
-            "layer_norm",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [
-                    r.standard_normal((3, 4)),
-                    1.0 + 0.1 * r.standard_normal((1, 4)),
-                    0.1 * r.standard_normal((1, 4)),
-                ],
-                lambda ts: ad.layer_norm(ts[0], ts[1], ts[2]),
-            ),
-        ),
-        (
-            "attention",
-            lambda rng: with_weight(
-                (6, 4),
-                rng,
-                lambda r: [r.standard_normal((6, 4)) for _ in range(3)],
-                # three ragged segments, two heads of width 2
-                lambda ts: ad.attention(ts[0], ts[1], ts[2], [1, 3, 2], heads=2),
-            ),
-        ),
-        (
-            "dropout",
-            lambda rng: with_weight(
-                (3, 4),
-                rng,
-                lambda r: [r.standard_normal((3, 4))],
-                # a fresh identically seeded generator per call keeps the
-                # mask constant across the FD stencil
-                lambda ts: ad.dropout(
-                    ts[0], 0.3, training=True, rng=np.random.default_rng(1234)
-                ),
-            ),
-        ),
-        (
-            "linear",
-            lambda rng: with_weight(
-                (3, 2),
-                rng,
-                lambda r: [
-                    r.standard_normal((3, 4)),
-                    r.standard_normal((4, 2)),
-                    r.standard_normal((1, 2)),
-                ],
-                lambda ts: ad.linear(ts[0], ts[1], ts[2]),
-            ),
-        ),
-    ]
-    return cases
 
 
 def op_gradient_checks(seed: int = 0, trials: int = 5) -> list[CheckResult]:
     """Coordinatewise FD check for every engine op, several instances each."""
     results = []
-    for index, (name, build) in enumerate(_op_cases()):
+    for index, (name, make_inputs, op) in enumerate(OP_CASES):
         rng = np.random.default_rng([seed, index])
         try:
-            worst = _run_op_case(build, rng, trials)
+            worst = _run_op_case(make_inputs, op, rng, trials)
         except Exception:
             worst = float("inf")
         results.append(CheckResult(name=f"op.{name}", worst=worst, tol=GRAD_TOL))

@@ -27,6 +27,11 @@ from .errors import (
 )
 
 MAX_LABEL = 4
+# Largest dense feature matrix parse_letor builds, in cells (N documents x
+# k features): 16 GiB as float64, far above MSLR-WEB30K's largest split
+# (about 0.3G cells). A file past it, usually through one stray huge
+# feature id, is refused before the matrix is allocated.
+MAX_FEATURE_CELLS = 2**31
 
 _MAGIC = b"DRLTRCH\x00"
 _CACHE_VERSION = 2
@@ -204,9 +209,17 @@ def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
     if not docs:
         raise DataError(f"no documents found in {path}")
     labels, qids, linenos, widths = zip(*docs)
-    k = max(max(cols, default=-1) + 1, k_hint or 0)
+    k_data = max(cols, default=-1) + 1
+    k = max(k_data, k_hint or 0)
     if k == 0:
         raise DataError(f"no features found in {path}")
+    if len(docs) * k > MAX_FEATURE_CELLS:
+        size = f"a {len(docs)} x {k} feature matrix, over the limit of {MAX_FEATURE_CELLS} cells"
+        if k > k_data:
+            raise ParseError(f"feature count hint {k} implies {size}", path)
+        entry = cols.index(k - 1)
+        doc = int(np.searchsorted(np.cumsum(widths), entry, side="right"))
+        raise ParseError(f"feature id {k} implies {size}", path, linenos[doc])
 
     values = np.array(vals, dtype=np.float64)
     finite = np.isfinite(values)

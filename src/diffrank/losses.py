@@ -52,13 +52,13 @@ def _zero_like(y_hat: Tensor) -> Tensor:
 
 def _select(y_hat: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """(scores as a (1, n) row, labels (n,))."""
-    col = ad.reshape(y_hat, (-1, 1))
+    row = ad.reshape(y_hat, (1, -1))
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if col.data.shape[0] != labels.size:
+    if row.data.shape[1] != labels.size:
         raise ValueError(
-            f"scores cover {col.data.shape[0]} documents, labels {labels.size}"
+            f"scores cover {row.data.shape[1]} documents, labels {labels.size}"
         )
-    return ad.transpose(col), labels
+    return row, labels
 
 
 def _pairwise_grids(row: Tensor) -> tuple[Tensor, Tensor]:
@@ -67,7 +67,7 @@ def _pairwise_grids(row: Tensor) -> tuple[Tensor, Tensor]:
     ones_col = Tensor(np.ones((m, 1), dtype=row.data.dtype))
     ones_row = Tensor(np.ones((1, m), dtype=row.data.dtype))
     a = ad.matmul(ones_col, row)
-    b = ad.matmul(ad.transpose(row), ones_row)
+    b = ad.matmul(ad.reshape(row, (-1, 1)), ones_row)
     return a, b
 
 

@@ -5,14 +5,16 @@ computed by re-evaluating the forward function, never by reusing the
 engine's own backward pass.
 """
 
+import inspect
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from diffrank import autodiff as ad
 from diffrank.errors import DomainError, ShapeError
-from diffrank.gradcheck import check_gradients, relative_error
+from diffrank.gradcheck import OP_CASES, check_gradients, relative_error
 
 TOL = 1e-4
 
@@ -194,7 +196,6 @@ def _op_cases(rng):
             [(n, 2), (n, 3)],
         ),
         ("slice_cols", lambda xs: float((xs[0][:, 1:4] ** 2).sum()), [(n, d)]),
-        ("transpose", lambda xs: float((xs[0].T @ xs[0]).sum()), [(n, d)]),
         ("reshape", lambda xs: float((xs[0].reshape(d, n) ** 2).sum()), [(n, d)]),
         (
             "broadcast_rows",
@@ -222,7 +223,6 @@ def _op_cases(rng):
             lambda xs: float((0.5 * (1 + np.tanh(0.5 * xs[0]))).sum() ** 2) / 10.0,
             [(n, d)],
         ),
-        ("exp", lambda xs: float(np.exp(xs[0]).sum()), [(n, d)]),
         (
             "softmax",
             lambda xs: float(
@@ -232,7 +232,6 @@ def _op_cases(rng):
         ),
         ("sum_all", lambda xs: float((xs[0].sum()) ** 2) / 10.0, [(n, d)]),
         ("sum_axis0", lambda xs: float((xs[0].sum(axis=0) ** 2).sum()), [(n, d)]),
-        ("mean_axis1", lambda xs: float((xs[0].mean(axis=1) ** 2).sum()), [(n, d)]),
     ]
 
 
@@ -274,8 +273,6 @@ def _graph_for(name, leaves):
     if name == "slice_cols":
         z = ad.slice_cols(leaves[0], 1, 4)
         return ad.tensor_sum(ad.mul(z, z))
-    if name == "transpose":
-        return ad.tensor_sum(ad.matmul(ad.transpose(leaves[0]), leaves[0]))
     if name == "reshape":
         z = ad.reshape(leaves[0], (leaves[0].data.shape[1], leaves[0].data.shape[0]))
         return ad.tensor_sum(ad.mul(z, z))
@@ -299,8 +296,6 @@ def _graph_for(name, leaves):
     if name == "sigmoid":
         s = ad.tensor_sum(ad.sigmoid(leaves[0]))
         return ad.scale(ad.mul(s, s), 0.1)
-    if name == "exp":
-        return ad.tensor_sum(ad.exp(leaves[0]))
     if name == "softmax":
         shp = leaves[0].data.shape
         coef = ad.Tensor(np.arange(shp[0] * shp[1], dtype=np.float64).reshape(shp))
@@ -311,16 +306,13 @@ def _graph_for(name, leaves):
     if name == "sum_axis0":
         z = ad.tensor_sum(leaves[0], axis=0)
         return ad.tensor_sum(ad.mul(z, z))
-    if name == "mean_axis1":
-        z = ad.tensor_mean(leaves[0], axis=1)
-        return ad.tensor_sum(ad.mul(z, z))
     raise AssertionError(name)
 
 
 @pytest.mark.parametrize("case", _op_cases(None), ids=lambda c: c[0])
 def test_op_gradients_match_finite_differences(case):
     name, f, shapes = case
-    rng = np.random.default_rng(abs(hash(name)) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     worst = 0.0
     for _ in range(5):
         arrays = [rng.standard_normal(s) for s in shapes]
@@ -330,6 +322,41 @@ def test_op_gradients_match_finite_differences(case):
             worst, check_gradients(f, arrays, [leaf.grad for leaf in leaves])
         )
     assert worst < TOL
+
+
+def test_gradcheck_table_covers_exactly_the_differentiable_ops(monkeypatch):
+    """Each OP_CASES row calls one engine function, and the rows together
+    call every public differentiable function of diffrank.autodiff."""
+    public = {
+        name
+        for name, obj in vars(ad).items()
+        if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+        and not name.startswith("_")
+    } - {"backward", "no_grad"}
+    outer = []  # functions entered from outside the engine
+    depth = [0]
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            if depth[0] == 0:
+                outer.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    for name in public:
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+    covered = set()
+    for name, make_inputs, op in OP_CASES:
+        outer.clear()
+        op([ad.Tensor(a) for a in make_inputs(np.random.default_rng(0))])
+        assert len(outer) == 1, (name, outer)
+        covered.update(outer)
+    assert covered == public
 
 
 def test_log_gradient_matches_finite_differences(rng):

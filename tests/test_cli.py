@@ -249,6 +249,14 @@ def test_prepare_parse_error_reports_location(tmp_path, capsys):
     assert "bad.txt:2" in err
 
 
+def test_prepare_oversized_feature_id_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 qid:1 1:0.5\n1 qid:1 99999999999:1.0\n")
+    code = cli.main(["prepare", "--train", str(bad), "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "bad.txt:2" in capsys.readouterr().err
+
+
 def test_train_missing_cache_fails_before_training(tmp_path, capsys):
     out_dir = tmp_path / "never"
     code = cli.main([
@@ -578,6 +586,9 @@ def test_exit_code_mapping(monkeypatch, capsys, exc, expected):
 
 
 def test_module_entry_point_runs_in_subprocess():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # the child finds the package in src/, as pytest's own pythonpath does
+    path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [
             sys.executable, "-m", "diffrank.cli",
@@ -585,7 +596,8 @@ def test_module_entry_point_runs_in_subprocess():
         ],
         capture_output=True,
         text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout

@@ -1,6 +1,7 @@
 """Parser, normalization, and cache round-trip checks."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,35 @@ class TestParsing:
         p.write_text("1 qid:1 1:1.0 1:2.0\n")
         with pytest.raises(ParseError):
             letor.parse_letor(str(p))
+
+    def test_oversized_feature_id_names_line(self, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text("1 qid:1 1:1.0\n0 qid:1 3:0.5 99999999999:1.0 2:0.1\n1 qid:2 7:1.0\n")
+        with pytest.raises(ParseError) as exc:
+            letor.parse_letor(str(p))
+        assert "huge.txt:2" in str(exc.value) and "feature id 99999999999" in str(exc.value)
+
+    def test_feature_matrix_limit_fires_before_allocating(self, tmp_path, monkeypatch):
+        # 3 x 10**6 cells = 24 MB as float64, over a lowered limit
+        monkeypatch.setattr(letor, "MAX_FEATURE_CELLS", 10**6)
+        p = tmp_path / "wide.txt"
+        p.write_text(f"1 qid:1 1:1.0\n0 qid:1 {10**6}:1.0\n1 qid:2 2:1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"wide.txt:2\]"):
+                letor.parse_letor(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_feature_matrix_limit_counts_the_k_hint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(letor, "MAX_FEATURE_CELLS", 100)
+        p = tmp_path / "small.txt"
+        p.write_text("1 qid:1 1:1.0\n0 qid:1 2:1.0\n")
+        assert letor.parse_letor(str(p), k_hint=50).k == 50
+        with pytest.raises(ParseError, match="hint 51"):
+            letor.parse_letor(str(p), k_hint=51)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
