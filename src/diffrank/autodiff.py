@@ -6,8 +6,9 @@ remember their parents, so a backward pass is a reverse topological walk
 over the graph built by the forward pass.
 
 Conventions:
-  * add/mul/sub broadcast only when one operand is a single element;
-    all other shape mismatches raise ShapeError naming both shapes.
+  * add/mul/sub broadcast only a single-element operand, or a (1, d)
+    row against an (n, d) operand; all other shape mismatches raise
+    ShapeError naming both shapes.
   * softmax normalizes the last axis.
   * backward(loss) requires a single-element tensor and consumes the
     graph: closures are released as they run, so a graph is traversed
@@ -104,10 +105,13 @@ def _result(data, parents, backward_fn) -> Tensor:
 
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Collapse a gradient onto a single-element operand's shape."""
+    """Collapse a gradient onto a broadcast operand's shape: a single
+    element or a (1, d) row."""
     if g.shape == tuple(shape):
         return g
-    return np.asarray(g.sum()).reshape(shape)
+    if math.prod(shape) == 1:
+        return np.asarray(g.sum()).reshape(shape)
+    return g.sum(axis=0, keepdims=True)
 
 
 def backward(loss: Tensor) -> None:
@@ -144,13 +148,12 @@ def backward(loss: Tensor) -> None:
 
 
 def _binary_shapes(a: Tensor, b: Tensor, opname: str):
-    if a.data.shape == b.data.shape:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or a.data.size == 1 or b.data.size == 1:
         return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ShapeError(
-        f"{opname}: incompatible shapes {a.data.shape} and {b.data.shape}"
-    )
+    if len(sa) == len(sb) == 2 and sa[1] == sb[1] and 1 in (sa[0], sb[0]):
+        return  # a (1, d) row against an (n, d) operand
+    raise ShapeError(f"{opname}: incompatible shapes {sa} and {sb}")
 
 
 def add(a, b) -> Tensor:
@@ -228,30 +231,6 @@ def scale(x, c: float) -> Tensor:
 # shape ops
 
 
-def concat(tensors) -> Tensor:
-    """Concatenate along the last axis."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat: empty input list")
-    lead = ts[0].data.shape[:-1]
-    for t in ts[1:]:
-        if t.data.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat: incompatible shapes {ts[0].data.shape} and {t.data.shape}"
-            )
-    data = np.concatenate([t.data for t in ts], axis=-1)
-    widths = [t.data.shape[-1] for t in ts]
-
-    def back(g):
-        off = 0
-        for t, w in zip(ts, widths):
-            if t.requires_grad:
-                t._accumulate(g[..., off : off + w])
-            off += w
-
-    return _result(data, tuple(ts), back)
-
-
 def slice_cols(x, start: int, stop: int) -> Tensor:
     """Take columns [start, stop) of the last axis."""
     x = _as_tensor(x)
@@ -279,29 +258,6 @@ def reshape(x, shape) -> Tensor:
             x._accumulate(g.reshape(x.data.shape))
 
     return _result(data, (x,), back)
-
-
-def broadcast_rows(v, counts) -> Tensor:
-    """Repeat row i of an (m, d) tensor counts[i] times, rows kept in order.
-
-    A single count repeats a (1, d) row, as the bias of linear() needs.
-    """
-    v = _as_tensor(v)
-    reps = np.asarray(counts, dtype=np.int64).reshape(-1)
-    if v.data.ndim != 2 or reps.shape != (v.data.shape[0],) or np.any(reps < 0):
-        raise ShapeError(
-            f"broadcast_rows: {reps.size} non-negative counts needed for shape "
-            f"{v.data.shape}, got {reps.tolist()}"
-        )
-    data = np.repeat(v.data, reps, axis=0)
-
-    def back(g):
-        if v.requires_grad:
-            ends = np.cumsum(reps).tolist()
-            sums = [g[e - r : e].sum(axis=0) for r, e in zip(reps.tolist(), ends)]
-            v._accumulate(np.stack(sums))
-
-    return _result(data, (v,), back)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -583,6 +539,5 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w plus a row-broadcast bias. Composition of primitive ops."""
-    y = matmul(x, w)
-    return add(y, broadcast_rows(b, y.data.shape[0]))
+    """x @ w plus a (1, width) bias row. Composition of primitive ops."""
+    return add(matmul(x, w), b)

@@ -132,19 +132,14 @@ OP_CASES = (
     ("matmul", _normal((3, 4), (4, 2)), lambda ts: ad.matmul(*ts)),
     ("add", _normal((3, 4), (3, 4)), lambda ts: ad.add(*ts)),
     ("add_scalar", _normal((3, 4), (1, 1)), lambda ts: ad.add(*ts)),
+    ("add_row", _normal((3, 4), (1, 4)), lambda ts: ad.add(*ts)),
     ("sub", _normal((3, 4), (3, 4)), lambda ts: ad.sub(*ts)),
     ("mul", _normal((3, 4), (3, 4)), lambda ts: ad.mul(*ts)),
     ("mul_scalar", _normal((3, 4), (1, 1)), lambda ts: ad.mul(*ts)),
+    ("mul_row", _normal((1, 4), (3, 4)), lambda ts: ad.mul(*ts)),
     ("scale", _normal((3, 4)), lambda ts: ad.scale(ts[0], -1.7)),
-    ("concat", _normal((3, 2), (3, 3)), lambda ts: ad.concat(ts)),
     ("slice_cols", _normal((3, 5)), lambda ts: ad.slice_cols(ts[0], 1, 4)),
     ("reshape", _normal((3, 4)), lambda ts: ad.reshape(ts[0], (2, 6))),
-    ("broadcast_rows", _normal((1, 4)), lambda ts: ad.broadcast_rows(ts[0], 3)),
-    (
-        "broadcast_rows_counts",
-        _normal((3, 4)),
-        lambda ts: ad.broadcast_rows(ts[0], [2, 1, 3]),
-    ),
     (
         "embedding_lookup",
         _normal((6, 4)),

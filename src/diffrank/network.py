@@ -16,10 +16,11 @@ gets the same outputs, up to float rounding, as when it runs alone.
 denoise() consumes the context vectors together with the noisy label
 column and the embedded timestep: every hidden layer is
 Linear -> softplus -> dropout, gated elementwise by the timestep
-embedding; the output layer produces one activation per relevance grade,
-and a softmax turns them into weights over the grades 0..G-1 whose
-weighted sum is the predicted clean label, guaranteed to stay inside
-[0, G-1].
+embedding, and the first layer adds the noisy label times its own weight
+row `den0.label.w`; the output layer produces one activation per
+relevance grade, and a softmax turns them into weights over the grades
+0..G-1 whose weighted sum is the predicted clean label, guaranteed to stay
+inside [0, G-1].
 
 Checkpoints are a self-describing binary: magic, version, a JSON header
 (model config, schedule spec, dtype, parameter manifest), then raw
@@ -47,7 +48,7 @@ from .errors import (
 from .schedule import ScheduleSpec
 
 _CKPT_MAGIC = b"DRCKPTF\x00"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 _CKPT_HEADER_KEYS = ("model", "schedule", "dtype", "params")
 
 
@@ -123,6 +124,9 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
 
     Linear layers own `<name>.w` (fan_in, fan_out) and `<name>.b`
     (1, fan_out); layer norms own `<name>.g` and `<name>.b` (1, width).
+    The attention key has no bias: softmax ignores the per-row constant it
+    would add. The noisy label enters through `den0.label.w`, listed after
+    `den0.w` so every weight keeps its place in the initialization draws.
     """
     shapes: dict[str, tuple[int, int]] = {}
 
@@ -139,17 +143,21 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     for i in range(cfg.blocks):
         if cfg.use_attention:
             norm_pair(f"enc{i}.ln1", d)
-            for part in ("wq", "wk", "wv", "wo"):
-                linear_pair(f"enc{i}.attn.{part}", d, d)
+            linear_pair(f"enc{i}.attn.wq", d, d)
+            shapes[f"enc{i}.attn.wk.w"] = (d, d)
+            linear_pair(f"enc{i}.attn.wv", d, d)
+            linear_pair(f"enc{i}.attn.wo", d, d)
         norm_pair(f"enc{i}.ln2", d)
         linear_pair(f"enc{i}.ffn.l1", d, 4 * d)
         linear_pair(f"enc{i}.ffn.l2", 4 * d, d)
     norm_pair("enc_out.ln", d)
     linear_pair("temb", d, d)
     for j in range(cfg.denoise_layers):
-        fan_in = d + 1 if j == 0 else d
         fan_out = cfg.num_grades if j == cfg.denoise_layers - 1 else d
-        linear_pair(f"den{j}", fan_in, fan_out)
+        shapes[f"den{j}.w"] = (d, fan_out)
+        if j == 0:
+            shapes["den0.label.w"] = (1, fan_out)
+        shapes[f"den{j}.b"] = (1, fan_out)
     return shapes
 
 
@@ -238,7 +246,7 @@ class DenoiseModel:
 
     def _attention(self, i: int, h: Tensor, lengths: np.ndarray) -> Tensor:
         q = ad.linear(h, self._p(f"enc{i}.attn.wq.w"), self._p(f"enc{i}.attn.wq.b"))
-        k = ad.linear(h, self._p(f"enc{i}.attn.wk.w"), self._p(f"enc{i}.attn.wk.b"))
+        k = ad.matmul(h, self._p(f"enc{i}.attn.wk.w"))
         v = ad.linear(h, self._p(f"enc{i}.attn.wv.w"), self._p(f"enc{i}.attn.wv.b"))
         merged = ad.attention(q, k, v, lengths, self.config.heads)
         return ad.linear(merged, self._p(f"enc{i}.attn.wo.w"), self._p(f"enc{i}.attn.wo.b"))
@@ -273,13 +281,16 @@ class DenoiseModel:
         steps = np.asarray(t).reshape(-1)
         if steps.size not in (1, lengths.size):
             raise ShapeError(f"{steps.size} timesteps given for {lengths.size} segments")
-        counts = [n] if steps.size == 1 else lengths
         p = cfg.dropout_p
-        temb = ad.broadcast_rows(self.timestep_embedding(steps), counts)
-        x = ad.concat([context, Tensor(y_col)])
+        temb = self.timestep_embedding(steps)  # a single row gates every row
+        if steps.size > 1:
+            temb = ad.embedding_lookup(temb, np.repeat(np.arange(steps.size), lengths))
+        x = context
         last = cfg.denoise_layers - 1
         for j in range(cfg.denoise_layers):
             z = ad.linear(x, self._p(f"den{j}.w"), self._p(f"den{j}.b"))
+            if j == 0:
+                z = ad.add(z, ad.matmul(Tensor(y_col), self._p("den0.label.w")))
             h = ad.dropout(ad.softplus(z), p, training, rng)
             if j < last:
                 x = ad.mul(h, temb)
@@ -356,7 +367,8 @@ def load_checkpoint(path: str) -> DenoiseModel:
         raise CacheCorruptionError(f"checkpoint {path} is truncated") from e
     if version != _CKPT_VERSION:
         raise IncompatibilityError(
-            f"checkpoint {path} has version {version}, reader supports {_CKPT_VERSION}"
+            f"checkpoint {path} has version {version}, this reader reads version "
+            f"{_CKPT_VERSION}; re-run `diffrank train` to rebuild it"
         )
     off += struct.calcsize("<IQ")
     if off + header_len > len(buf):
@@ -408,8 +420,8 @@ def load_checkpoint(path: str) -> DenoiseModel:
 def feature_only_variant(model: DenoiseModel) -> DenoiseModel:
     """Copy of the model whose prediction ignores the noisy-label input.
 
-    The noisy labels enter the network only through the last input column
-    of the first denoise layer; zeroing that weight row makes the score a
+    The noisy labels enter the network only through the first denoise
+    layer's label row `den0.label.w`; zeroing it makes the score a
     function of document features and timestep alone. Combined with
     single-step variance-free sampling this yields a reference scorer
     whose repeated runs produce identical rankings.
@@ -417,8 +429,8 @@ def feature_only_variant(model: DenoiseModel) -> DenoiseModel:
     params: dict[str, Tensor] = {}
     for name in sorted(model.params):
         arr = np.array(model.params[name].data)
-        if name == "den0.w":
-            arr[model.config.d_model, :] = 0.0
+        if name == "den0.label.w":
+            arr[:] = 0.0
         params[name] = Tensor(arr, requires_grad=True)
     return DenoiseModel(
         config=model.config,

@@ -383,6 +383,22 @@ def test_version_one_cache_asks_for_prepare(workspace, tmp_path, capsys):
     assert "version 1" in err and "diffrank prepare" in err
 
 
+def test_version_one_checkpoint_asks_for_retrain(workspace, tmp_path, capsys):
+    old = tmp_path / "old.ckpt"
+    buf = bytearray(workspace["checkpoint"].read_bytes())
+    struct.pack_into("<I", buf, 8, 1)  # version field sits right after the magic
+    old.write_bytes(bytes(buf))
+    code = cli.main([
+        "evaluate",
+        "--checkpoint", str(old),
+        "--test-cache", str(workspace["test_cache"]),
+        "--out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "version 1" in err and "diffrank train" in err
+
+
 def test_evaluate_rejects_feature_width_mismatch(workspace, tmp_path, capsys):
     write_letor(make_linear_dataset(4, 6, K_FEATURES + 2, seed=9), str(tmp_path / "wide.txt"))
     assert cli.main([

@@ -76,9 +76,10 @@ def test_config_accepts_numpy_integers_as_plain_ints():
 
 def test_parameter_count_matches_hand_formula():
     model = toy_model()
-    # proj 96, ln1 32, attention 4*272, ln2 32, ffn 1088+1040,
-    # output norm 32, timestep projection 272, denoise 288+85.
-    assert model.num_parameters() == 4053
+    # proj 96, ln1 32, attention 3*272+256 (no key bias), ln2 32,
+    # ffn 1088+1040, output norm 32, timestep projection 272,
+    # denoise 256+16+16 (context, label row, bias) and 85.
+    assert model.num_parameters() == 4037
 
 
 def test_parameter_names_are_stable():

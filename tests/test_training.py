@@ -309,11 +309,6 @@ def test_packed_step_matches_per_query_graph(loss):
                 err_msg=name,
             )
     for name, p in packed.model.params.items():
-        # The key bias adds the same q.b to every score of a softmax row,
-        # so its exact gradient is zero and both graphs hold only rounding
-        # noise there, which AdamW divides by its eps of 1e-8.
-        if name.endswith("attn.wk.b"):
-            continue
         np.testing.assert_allclose(
             p.data, reference.model.params[name].data, rtol=0, atol=1e-12, err_msg=name
         )
