@@ -262,10 +262,11 @@ def cmd_diversity(args: argparse.Namespace) -> int:
         {"test_cache": "test_cache", "out_dir": "out_dir", "repeat": "repeat"},
     )
     if args.baseline:
-        # reference scorer: predictions ignore the noisy labels, one
-        # variance-free step, so all repeats produce the same ranking
+        # reference scorer: predictions ignore the noisy labels, and one
+        # reverse step returns them with no posterior draw, so all
+        # repeats produce the same ranking
         model = feature_only_variant(model)
-        sampler = replace(sampler, reverse_steps=1, zero_variance=True)
+        sampler = replace(sampler, reverse_steps=1)
     repeats = config["repeat"]
     cutoffs = config["rsd_cutoffs"]
     per_query_orders = [

@@ -12,6 +12,7 @@ Environment variables are never consulted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -71,9 +72,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as e:
         raise ConfigError(f"expected a number, got {text!r}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # key -> (parser, default). Defaults mirror the recommended Web30K

@@ -156,8 +156,7 @@ def _parse_label(token: str, path: str, lineno: int) -> int:
     return value
 
 
-def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
-    """Parse a ranking data file into grouped, densely zero-filled rows."""
+def _read_entries(path: str) -> tuple[list, list[int], list[float]]:
     docs: list[tuple[int, int, int, int]] = []  # label, qid, line, feature count
     cols: list[int] = []
     vals: list[float] = []
@@ -206,6 +205,31 @@ def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
                 cols.append(fid - 1)
                 vals.append(val)
             docs.append((label, qid, lineno, len(tokens) - 2))
+    return docs, cols, vals
+
+
+def _undecodable_line(path: str) -> int | None:
+    """Line number, counted as the text reader counts lines, of the first
+    line holding bytes that are not UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return None
+
+
+def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
+    """Parse a ranking data file into grouped, densely zero-filled rows."""
+    try:
+        docs, cols, vals = _read_entries(path)
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"line is not UTF-8 text ({e.reason})", path, _undecodable_line(path)
+        ) from None
     if not docs:
         raise DataError(f"no documents found in {path}")
     labels, qids, linenos, widths = zip(*docs)

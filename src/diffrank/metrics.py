@@ -14,14 +14,14 @@ Values live in [0, 1]; scaling by 100 happens only in display code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .letor import MAX_LABEL
+
 METRICS = ("ndcg", "err", "map", "mrr", "precision")
 DEFAULT_CUTOFFS: tuple = (1, 3, 5, 10, 20, "ALL")
-MAX_GRADE = 4
 
 
 def ranking_order(scores: np.ndarray) -> np.ndarray:
@@ -34,76 +34,66 @@ def _depth(n: int, k) -> int:
     return n if k == "ALL" or k is None else min(int(k), n)
 
 
-def _dcg(ordered_labels: np.ndarray, depth: int) -> float:
-    total = 0.0
-    for rank in range(1, depth + 1):
-        gain = 2.0 ** ordered_labels[rank - 1] - 1.0
-        total += gain / math.log2(1.0 + rank)
-    return total
+def _curves(labels: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
+    """Every metric of one ranking at every depth 1..n, from running sums.
+
+    Entry d - 1 of each curve is the metric at cutoff d. Sums run in rank
+    order, as a loop over the ranks would add them.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    ordered = labels[order]
+    gains = 2.0**ordered - 1.0
+    ranks = np.arange(1.0, labels.size + 1.0)
+    log_ranks = np.log2(1.0 + ranks)
+    dcg = np.cumsum(gains / log_ranks)
+    idcg = np.cumsum((2.0 ** np.sort(labels)[::-1] - 1.0) / log_ranks)
+    # ERR: r is each rank's stopping chance; reach the chance of getting there
+    r = gains / 2.0**MAX_LABEL
+    reach = np.cumprod(np.concatenate(([1.0], 1.0 - r[:-1])))
+    rel = ordered > 0
+    hits = np.cumsum(rel)
+    precision = hits / ranks
+    return {
+        "ndcg": np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0),
+        "err": np.cumsum(reach * r / ranks),
+        "map": np.divide(
+            np.cumsum(np.where(rel, precision, 0.0)),
+            hits,
+            out=np.zeros_like(precision),
+            where=hits > 0,
+        ),
+        "mrr": np.maximum.accumulate(np.where(rel, 1.0 / ranks, 0.0)),
+        "precision": precision,
+    }
+
+
+def _at_k(name: str, labels: np.ndarray, order: np.ndarray, k) -> float:
+    depth = _depth(np.size(labels), k)
+    if depth < 1:
+        raise ValueError(f"{name}@{k} needs a cutoff >= 1 and a non-empty list")
+    return float(_curves(labels, order)[name][depth - 1])
 
 
 def ndcg_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
-    labels = np.asarray(labels, dtype=np.float64)
-    depth = _depth(labels.size, k)
-    ideal = np.sort(labels)[::-1]
-    idcg = _dcg(ideal, depth)
-    if idcg == 0.0:
-        return 0.0
-    return _dcg(labels[order], depth) / idcg
+    return _at_k("ndcg", labels, order, k)
 
 
 def err_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
-    labels = np.asarray(labels, dtype=np.float64)
-    depth = _depth(labels.size, k)
-    ordered = labels[order]
-    total = 0.0
-    not_stopped = 1.0
-    for rank in range(1, depth + 1):
-        r = (2.0 ** ordered[rank - 1] - 1.0) / (2.0**MAX_GRADE)
-        total += not_stopped * r / rank
-        not_stopped *= 1.0 - r
-    return total
+    return _at_k("err", labels, order, k)
 
 
 def average_precision_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
     """Mean of precision at the relevant positions inside the top k;
     zero when the top k holds nothing relevant."""
-    labels = np.asarray(labels)
-    depth = _depth(labels.size, k)
-    ordered_rel = labels[order] > 0
-    hits = 0
-    acc = 0.0
-    for rank in range(1, depth + 1):
-        if ordered_rel[rank - 1]:
-            hits += 1
-            acc += hits / rank
-    return acc / hits if hits else 0.0
+    return _at_k("map", labels, order, k)
 
 
 def reciprocal_rank_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
-    labels = np.asarray(labels)
-    depth = _depth(labels.size, k)
-    ordered_rel = labels[order] > 0
-    for rank in range(1, depth + 1):
-        if ordered_rel[rank - 1]:
-            return 1.0 / rank
-    return 0.0
+    return _at_k("mrr", labels, order, k)
 
 
 def precision_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
-    labels = np.asarray(labels)
-    depth = _depth(labels.size, k)
-    ordered_rel = labels[order] > 0
-    return float(ordered_rel[:depth].sum()) / depth
-
-
-_METRIC_FNS = {
-    "ndcg": ndcg_at_k,
-    "err": err_at_k,
-    "map": average_precision_at_k,
-    "mrr": reciprocal_rank_at_k,
-    "precision": precision_at_k,
-}
+    return _at_k("precision", labels, order, k)
 
 
 def ranking_diversity(orders: list[np.ndarray], k) -> float:
@@ -143,10 +133,11 @@ def evaluate_rankings(
             report.n_excluded += 1
             continue
         report.n_queries += 1
+        curves = _curves(labels, order)
         for name in METRICS:
-            fn = _METRIC_FNS[name]
             for k in cutoffs:
-                report.per_query[name][k].append(fn(labels, order, k))
+                value = curves[name][_depth(labels.size, k) - 1]
+                report.per_query[name][k].append(float(value))
     for name in METRICS:
         for k in cutoffs:
             vals = report.per_query[name][k]

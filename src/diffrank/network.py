@@ -422,9 +422,10 @@ def feature_only_variant(model: DenoiseModel) -> DenoiseModel:
 
     The noisy labels enter the network only through the first denoise
     layer's label row `den0.label.w`; zeroing it makes the score a
-    function of document features and timestep alone. Combined with
-    single-step variance-free sampling this yields a reference scorer
-    whose repeated runs produce identical rankings.
+    function of document features and timestep alone. Sampled with one
+    reverse step, which returns that prediction with no posterior draw,
+    it yields a reference scorer whose repeated runs produce identical
+    rankings.
     """
     params: dict[str, Tensor] = {}
     for name in sorted(model.params):

@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .letor import Dataset
+from .letor import MAX_LABEL, Dataset
 
-NUM_GRADES = 5
+NUM_GRADES = MAX_LABEL + 1
 _CALIBRATION_DRAWS = 20_000
 
 # context-dataset knobs: per-document indicator noise is high enough that

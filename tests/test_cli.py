@@ -115,6 +115,18 @@ def test_bad_values_rejected(item, fragment):
         resolve_config(overrides=[item])
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["lr", "adam_eps", "weight_decay", "t_smooth", "mu", "sigma"])
+def test_non_finite_floats_rejected(key, raw):
+    with pytest.raises(ConfigError, match=f"{key}.*finite"):
+        resolve_config(overrides=[f"{key}={raw}"])
+
+
+def test_non_finite_float_exits_2_before_reading_data(capsys):
+    assert cli.main(["train", "--set", "adam_eps=nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_boolean_spellings():
     for raw, expected in [("true", True), ("YES", True), ("0", False), ("off", False)]:
         assert resolve_config(overrides=[f"zero_variance={raw}"])["zero_variance"] is expected
@@ -255,6 +267,35 @@ def test_prepare_oversized_feature_id_exits_3(tmp_path, capsys):
     code = cli.main(["prepare", "--train", str(bad), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "bad.txt:2" in capsys.readouterr().err
+
+
+def _prepare_error(tmp_path, capsys, train) -> str:
+    code = cli.main(["prepare", "--train", str(train), "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    return err
+
+
+def test_prepare_missing_input_exits_3(tmp_path, capsys):
+    err = _prepare_error(tmp_path, capsys, tmp_path / "absent.txt")
+    assert "absent.txt" in err and "No such file" in err
+
+
+def test_prepare_directory_input_exits_3(tmp_path, capsys):
+    (tmp_path / "splits").mkdir()
+    err = _prepare_error(tmp_path, capsys, tmp_path / "splits")
+    assert "splits" in err and "directory" in err
+
+
+def test_prepare_non_utf8_input_names_the_line(tmp_path, capsys):
+    # the bad byte sits past the reader's first decoded chunk, and a lone
+    # carriage return ends a line as it does for every other parse error
+    good = "2 qid:1 1:0.5 2:0.25\n" * 600
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes((good + "1 qid:1 1:0.5\r0 qid:1 1:\xff\n").encode("latin-1"))
+    err = _prepare_error(tmp_path, capsys, bad)
+    assert "UTF-8" in err and "bad.txt:602]" in err
 
 
 def test_train_missing_cache_fails_before_training(tmp_path, capsys):

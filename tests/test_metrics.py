@@ -1,5 +1,7 @@
 """Hand oracles and properties for the ranking metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,74 @@ class TestEvaluateDataset:
         assert "100.00" in table
 
 
+AT_K = {
+    "ndcg": mt.ndcg_at_k,
+    "err": mt.err_at_k,
+    "map": mt.average_precision_at_k,
+    "mrr": mt.reciprocal_rank_at_k,
+    "precision": mt.precision_at_k,
+}
+
+
+def _loop_metrics(labels, order, depth):
+    """Reference: every metric at one depth, from one plain loop over ranks."""
+    ordered = [float(labels[i]) for i in order]
+    ideal = sorted(ordered, reverse=True)
+    dcg = idcg = err = ap = 0.0
+    reach, hits, first = 1.0, 0, 0
+    for rank in range(1, depth + 1):
+        label = ordered[rank - 1]
+        dcg += (2.0**label - 1.0) / math.log2(1.0 + rank)
+        idcg += (2.0 ** ideal[rank - 1] - 1.0) / math.log2(1.0 + rank)
+        r = (2.0**label - 1.0) / 2.0**letor.MAX_LABEL
+        err += reach * r / rank
+        reach *= 1.0 - r
+        if label > 0:
+            hits += 1
+            ap += hits / rank
+            first = first or rank
+    return {
+        "ndcg": dcg / idcg if idcg else 0.0,
+        "err": err,
+        "map": ap / hits if hits else 0.0,
+        "mrr": 1.0 / first if first else 0.0,
+        "precision": hits / depth,
+    }
+
+
+def test_metrics_match_loop_reference_on_long_lists_with_ties():
+    """Lists up to 1,300 documents (Web30K's longest are about 1,250), few
+    distinct scores so ties decide much of the order, and cutoffs past the
+    list length; evaluate_rankings reports exactly the *_at_k values."""
+    rng = np.random.default_rng(12)
+    sizes = [1, 2, 3, 19, 21, 1300] + list(rng.integers(1, 1301, size=10))
+    labels_list, orders = [], []
+    for n in sizes:
+        labels = rng.integers(0, letor.MAX_LABEL + 1, size=n)
+        labels[rng.random(n) < 0.5] = 0  # many irrelevant, some all-zero short lists
+        order = mt.ranking_order(rng.integers(0, max(2, n // 10), size=n).astype(float))
+        cutoffs = (1, 3, 5, 10, 20, n + 7, "ALL")
+        for k in cutoffs:
+            expect = _loop_metrics(labels, order, min(n, k) if k != "ALL" else n)
+            for name, fn in AT_K.items():
+                assert fn(labels, order, k) == pytest.approx(expect[name], rel=0, abs=1e-12)
+        labels_list.append(labels)
+        orders.append(order)
+    cutoffs = (1, 3, 5, 10, 20, 1400, "ALL")
+    report = mt.evaluate_rankings(labels_list, orders, cutoffs)
+    kept = [(y, o) for y, o in zip(labels_list, orders) if y.any()]
+    assert report.n_queries == len(kept) and report.n_excluded == len(sizes) - len(kept)
+    for name, fn in AT_K.items():
+        for k in cutoffs:
+            assert report.per_query[name][k] == [fn(y, o, k) for y, o in kept]
+
+
+def test_cutoff_below_one_is_rejected():
+    for fn in AT_K.values():
+        with pytest.raises(ValueError):
+            fn(np.array([1, 0]), np.array([0, 1]), 0)
+
+
 @given(
     labels=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=8),
     seed=st.integers(min_value=0, max_value=2**31),
@@ -211,8 +281,7 @@ def test_joint_permutation_invariance(labels, seed):
     perm = rng.permutation(n)
     order_a = mt.ranking_order(scores)
     order_b = mt.ranking_order(scores[perm])
-    for name in mt.METRICS:
-        fn = mt._METRIC_FNS[name]
+    for name, fn in AT_K.items():
         for k in (1, 3, "ALL"):
             va = fn(labels, order_a, k)
             vb = fn(labels[perm], order_b, k)
