@@ -49,11 +49,9 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif not np.issubdtype(arr.dtype, np.floating):
+        if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
@@ -413,10 +411,11 @@ def tensor_mean(x) -> Tensor:
 # structured ops
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize each row of a 2-d tensor, then apply a learned affine map.
 
-    gain and bias have shape (1, d); statistics use the population variance.
+    gain and bias have shape (1, d); statistics use the population variance,
+    with 1e-5 added before the square root.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.data.ndim != 2:
@@ -429,7 +428,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
     data = gain.data * xhat + bias.data
 

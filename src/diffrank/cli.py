@@ -11,8 +11,8 @@ CSVs, checkpoints, and logs are byte-stable across reruns with the same
 seed. Wall-clock timings appear only on stdout, never inside artifacts.
 
 Exit codes: 0 success, 2 configuration errors, 3 data errors (parse,
-validation, cache, artifact incompatibilities), 4 numeric failures,
-1 anything else.
+validation, cache, artifact incompatibilities, unreadable or unwritable
+paths), 4 numeric failures, 1 anything else.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import PRESETS, RunConfig, apply_overrides, resolve_config
+from .config import PRESETS, RunConfig, resolve_config
 from .errors import (
     ConfigError,
     DataError,
@@ -72,7 +72,7 @@ def _sha256(path: str) -> str:
 def _read_cache(path: str, role: str) -> Dataset:
     if not path:
         raise ConfigError(f"no {role} cache configured; set the {role}_cache key")
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         raise DataError(
             f"{role} cache {path} does not exist; run the prepare command first"
         )
@@ -80,20 +80,17 @@ def _read_cache(path: str, role: str) -> Dataset:
 
 
 def _resolved(args: argparse.Namespace, flag_keys: dict[str, str]) -> RunConfig:
-    """Config from defaults<preset<file<--set, then per-command flags."""
-    config = resolve_config(
-        preset=getattr(args, "preset", None),
-        config_path=getattr(args, "config", None),
-        overrides=getattr(args, "set", None) or [],
-    )
-    overrides = {}
+    """Config from defaults<preset<file<--set<per-command flags."""
+    overrides = list(getattr(args, "set", None) or [])
     for attr, key in flag_keys.items():
         value = getattr(args, attr, None)
         if value is not None:
-            overrides[key] = str(value)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
+            overrides.append(f"{key}={value}")
+    return resolve_config(
+        preset=getattr(args, "preset", None),
+        config_path=getattr(args, "config", None),
+        overrides=overrides,
+    )
 
 
 def _ranking_setup(
@@ -102,8 +99,6 @@ def _ranking_setup(
     """Config, checkpoint, test split, schedule table and sampler settings
     for the commands that rank a split."""
     config = _resolved(args, flag_keys)
-    if not os.path.isfile(args.checkpoint):
-        raise DataError(f"checkpoint {args.checkpoint} does not exist")
     model = load_checkpoint(args.checkpoint)
     ds = _read_cache(config["test_cache"], "test")
     if ds.k != model.config.k:
@@ -155,18 +150,20 @@ def _describe_split(name: str, ds: Dataset, cache_path: str) -> str:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     train_raw = parse_letor(args.train, k_hint=args.k_hint)
     stats = compute_norm_stats(train_raw)
     splits = [("train", train_raw)]
     for name, path in (("valid", args.valid), ("test", args.test)):
         if path is not None:
-            splits.append((name, parse_letor(path, k_hint=train_raw.k)))
+            raw = parse_letor(path, k_hint=train_raw.k)
+            if raw.k != train_raw.k:
+                raise IncompatibilityError(
+                    f"{name} split has {raw.k} features, train has {train_raw.k}"
+                )
+            splits.append((name, raw))
+    # every split has parsed, so a bad input leaves no directory behind
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, raw in splits:
-        if raw.k != train_raw.k:
-            raise IncompatibilityError(
-                f"{name} split has {raw.k} features, train has {train_raw.k}"
-            )
         ds = normalize(raw, stats)
         cache_path = os.path.join(args.out_dir, f"{name}.cache")
         cache_write(ds, cache_path)
@@ -428,6 +425,10 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except OSError as e:  # a path that cannot be read, created or written
+        where = f"{e.filename}: " if e.filename else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
+        return 3
     except DiffrankError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

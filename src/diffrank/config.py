@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .losses import LossSpec
+from .metrics import DEFAULT_CUTOFFS
 from .network import ModelConfig
 from .schedule import ScheduleSpec
 from .training import TrainConfig
@@ -118,7 +119,7 @@ SCHEMA: dict = {
     "seed": (_parse_int, 0),
     # inference / reports
     "reverse_steps": (_parse_int, 8),
-    "cutoffs": (_parse_cutoffs, (1, 3, 5, 10, 20, "ALL")),
+    "cutoffs": (_parse_cutoffs, DEFAULT_CUTOFFS),
     "rsd_cutoffs": (_parse_int_cutoffs, (1, 5, 10, 20)),
     "repeat": (_parse_int, 10),
     "zero_variance": (_parse_bool, False),
@@ -247,14 +248,6 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
     return raw
-
-
-def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """New RunConfig with raw string values layered on top (flags win)."""
-    values = dict(config.values)
-    for key, raw in overrides.items():
-        _assign(values, key, raw, origin="command line")
-    return RunConfig(values=values)
 
 
 def resolve_config(

@@ -32,23 +32,22 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def fd_gradients(
     f: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],
-    h: float = FD_STEP,
 ) -> list[np.ndarray]:
     """Central finite-difference gradient of f w.r.t. every array entry."""
     grads = []
     work = [np.array(a, dtype=np.float64) for a in arrays]
-    for ai, a in enumerate(work):
+    for a in work:
         g = np.zeros_like(a)
         flat = a.reshape(-1)
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             up = f(work)
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             down = f(work)
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            gflat[i] = (up - down) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
@@ -57,25 +56,23 @@ def fd_directional(
     f: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],
     directions: Sequence[np.ndarray],
-    h: float = FD_STEP,
 ) -> float:
     """Central finite difference of f along a joint direction vector."""
     work_up = [np.array(a, dtype=np.float64) for a in arrays]
     work_down = [np.array(a, dtype=np.float64) for a in arrays]
     for a_up, a_down, d in zip(work_up, work_down, directions):
-        a_up += h * d
-        a_down -= h * d
-    return (f(work_up) - f(work_down)) / (2.0 * h)
+        a_up += FD_STEP * d
+        a_down -= FD_STEP * d
+    return (f(work_up) - f(work_down)) / (2.0 * FD_STEP)
 
 
 def check_gradients(
     f: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],
     analytic: Sequence[np.ndarray],
-    h: float = FD_STEP,
 ) -> float:
     """Worst relative error between analytic grads and coordinatewise FD."""
-    numeric = fd_gradients(f, arrays, h=h)
+    numeric = fd_gradients(f, arrays)
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
@@ -85,7 +82,6 @@ def check_directional(
     analytic: Sequence[np.ndarray],
     rng: np.random.Generator,
     n_directions: int = 4,
-    h: float = FD_STEP,
 ) -> float:
     """Worst relative error over random directions.
 
@@ -97,7 +93,7 @@ def check_directional(
         dirs = [rng.standard_normal(a.shape) for a in arrays]
         norm = np.sqrt(sum(float((d * d).sum()) for d in dirs))
         dirs = [d / norm for d in dirs]
-        numeric = fd_directional(f, arrays, dirs, h=h)
+        numeric = fd_directional(f, arrays, dirs)
         dot = sum(float((g * d).sum()) for g, d in zip(analytic, dirs))
         worst = max(worst, relative_error(np.asarray(dot), np.asarray(numeric)))
     return worst

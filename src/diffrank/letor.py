@@ -282,12 +282,9 @@ def compute_norm_stats(ds: Dataset) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def normalize(ds: Dataset, stats: NormStats | None = None) -> Dataset:
-    """Z-score features. With stats=None the dataset supplies its own,
-    which is what the training split does; other splits must reuse the
-    training stats."""
-    if stats is None:
-        stats = compute_norm_stats(ds)
+def normalize(ds: Dataset, stats: NormStats) -> Dataset:
+    """Z-score features with the given stats; every split uses the
+    training split's compute_norm_stats."""
     if stats.mean.shape != (ds.k,) or stats.std.shape != (ds.k,):
         raise ValidationError(
             f"normalization stats cover {stats.mean.shape[0]} features, dataset has {ds.k}"
@@ -332,8 +329,11 @@ def cache_write(ds: Dataset, path: str) -> None:
 
 
 def cache_read(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read cache {path}: {e.strerror or e}") from None
     if buf[: len(_MAGIC)] != _MAGIC:
         raise IncompatibilityError(f"{path} is not a ranking data cache")
     if len(buf) < _DATA_START:

@@ -31,7 +31,11 @@ def ranking_order(scores: np.ndarray) -> np.ndarray:
 
 
 def _depth(n: int, k) -> int:
-    return n if k == "ALL" or k is None else min(int(k), n)
+    """Ranks that cutoff k (an integer or "ALL") reads of an n-document list."""
+    depth = n if k == "ALL" else min(int(k), n)
+    if depth < 1:
+        raise ValueError(f"cutoff {k} needs k >= 1 and a non-empty list, got {n} documents")
+    return depth
 
 
 def _curves(labels: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
@@ -68,10 +72,7 @@ def _curves(labels: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _at_k(name: str, labels: np.ndarray, order: np.ndarray, k) -> float:
-    depth = _depth(np.size(labels), k)
-    if depth < 1:
-        raise ValueError(f"{name}@{k} needs a cutoff >= 1 and a non-empty list")
-    return float(_curves(labels, order)[name][depth - 1])
+    return float(_curves(labels, order)[name][_depth(np.size(labels), k) - 1])
 
 
 def ndcg_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
@@ -113,7 +114,6 @@ def ranking_diversity(orders: list[np.ndarray], k) -> float:
 class MetricsReport:
     cutoffs: list
     values: dict[str, dict] = field(default_factory=dict)
-    per_query: dict[str, dict] = field(default_factory=dict)
     n_queries: int = 0
     n_excluded: int = 0
 
@@ -124,9 +124,7 @@ def evaluate_rankings(
     cutoffs=DEFAULT_CUTOFFS,
 ) -> MetricsReport:
     report = MetricsReport(cutoffs=list(cutoffs))
-    for name in METRICS:
-        report.values[name] = {}
-        report.per_query[name] = {k: [] for k in cutoffs}
+    per_query = {name: {k: [] for k in cutoffs} for name in METRICS}
     for labels, order in zip(labels_list, orders):
         labels = np.asarray(labels, dtype=np.float64)
         if labels.max(initial=0.0) == 0.0:
@@ -137,16 +135,16 @@ def evaluate_rankings(
         for name in METRICS:
             for k in cutoffs:
                 value = curves[name][_depth(labels.size, k) - 1]
-                report.per_query[name][k].append(float(value))
+                per_query[name][k].append(float(value))
     for name in METRICS:
-        for k in cutoffs:
-            vals = report.per_query[name][k]
-            report.values[name][k] = float(np.mean(vals)) if vals else 0.0
+        report.values[name] = {
+            k: float(np.mean(vals)) if vals else 0.0 for k, vals in per_query[name].items()
+        }
     return report
 
 
 def _cutoff_str(k) -> str:
-    return "ALL" if k == "ALL" or k is None else str(int(k))
+    return "ALL" if k == "ALL" else str(int(k))
 
 
 def report_to_csv(report: MetricsReport) -> str:

@@ -42,6 +42,7 @@ from .autodiff import Tensor
 from .errors import (
     CacheCorruptionError,
     ConfigError,
+    DataError,
     IncompatibilityError,
     ShapeError,
 )
@@ -356,8 +357,11 @@ def _manifest(manifest, expected: dict[str, tuple[int, int]], path: str):
 
 
 def load_checkpoint(path: str) -> DenoiseModel:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e.strerror or e}") from None
     if buf[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise IncompatibilityError(f"{path} is not a model checkpoint")
     off = len(_CKPT_MAGIC)

@@ -101,7 +101,6 @@ def _reverse(
     schedule: tuple[list[int], ScheduleTable],
     cfg: SamplerConfig,
     rngs: list[np.random.Generator],
-    y_init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run one reverse chain per generator on one query; (M, n) scores.
 
@@ -113,10 +112,7 @@ def _reverse(
     visited, effective = schedule
     features = np.asarray(features)
     n, m = features.shape[0], len(rngs)
-    if y_init is None:
-        y = np.stack([rng.standard_normal(n) for rng in rngs])
-    else:
-        y = np.asarray(y_init, dtype=np.float64).reshape(m, n).copy()
+    y = np.stack([rng.standard_normal(n) for rng in rngs])
     steps = len(visited)
     with ad.no_grad():
         context = ad.Tensor(np.tile(model.encode(features).data, (m, 1)))
@@ -141,12 +137,11 @@ def rank_query(
     table: ScheduleTable,
     cfg: SamplerConfig,
     rng: np.random.Generator | None = None,
-    y_init: np.ndarray | None = None,
 ) -> RankOutput:
     """Run the reverse process on one query list and rank its documents."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    scores = _reverse(model, features, _strided(model, table, cfg), cfg, [rng], y_init)[0]
+    scores = _reverse(model, features, _strided(model, table, cfg), cfg, [rng])[0]
     return RankOutput(scores=scores, order=ranking_order(scores))
 
 

@@ -161,14 +161,9 @@ _BUILDERS = {
 
 
 def _finalize(
-    kind: str,
-    betas: np.ndarray,
-    require_terminal: bool | None = None,
-    clip: bool = True,
+    kind: str, betas: np.ndarray, require_terminal: bool | None = None
 ) -> ScheduleTable:
     beta = np.asarray(betas, dtype=np.float64)
-    if clip:
-        beta = np.clip(beta, BETA_MIN, BETA_MAX)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     beta_tilde = np.empty_like(beta)
@@ -190,7 +185,8 @@ def _finalize(
 
 
 def build_schedule(spec: ScheduleSpec) -> ScheduleTable:
-    return _finalize(spec.kind, _BUILDERS[spec.kind](spec.timesteps))
+    betas = _BUILDERS[spec.kind](spec.timesteps)
+    return _finalize(spec.kind, np.clip(betas, BETA_MIN, BETA_MAX))
 
 
 def strided_table(table: ScheduleTable, visited: list[int]) -> ScheduleTable:
@@ -204,12 +200,12 @@ def strided_table(table: ScheduleTable, visited: list[int]) -> ScheduleTable:
     abar = np.array([table.alpha_bar_at(t) for t in visited], dtype=np.float64)
     prev = np.concatenate(([1.0], abar[:-1]))
     betas = 1.0 - abar / prev
-    # Exact ratios already lie in (0, 1), and the default clip would break
-    # marginal preservation on wide jumps. The cap below only binds when
+    # Exact ratios already lie in (0, 1), and build_schedule's clip would
+    # break marginal preservation on wide jumps. The cap below only binds when
     # 1 - ratio is not representable in float64 (ratio < ~1e-16), where the
     # posterior coefficients are insensitive to it.
     betas = np.minimum(betas, 1.0 - 1e-12)
-    return _finalize(table.kind, betas, require_terminal=False, clip=False)
+    return _finalize(table.kind, betas, require_terminal=False)
 
 
 def q_sample(y0: np.ndarray, t: int, eps: np.ndarray, table: ScheduleTable) -> np.ndarray:

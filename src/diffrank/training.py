@@ -140,9 +140,6 @@ class TrainState:
     optimizer: AdamW
     table: ScheduleTable
     rng: np.random.Generator
-    epoch: int = 0
-    best_metric: float = float("-inf")
-    best_path: str | None = None
 
 
 @dataclass
@@ -264,10 +261,10 @@ def fit(
     _, _, shuffle_ss, eval_ss = np.random.SeedSequence(config.seed).spawn(4)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     best_path = os.path.join(out_dir, "best.ckpt")
+    best_metric = float("-inf")
     log: list[dict] = []
     groups = list(train.groups)
     for epoch in range(1, config.epochs + 1):
-        state.epoch = epoch
         order = shuffle_rng.permutation(len(groups))
         losses = []
         for start in range(0, len(groups), config.batch_size):
@@ -288,10 +285,9 @@ def fit(
             if not math.isfinite(metric):
                 raise NumericError(f"validation metric at epoch {epoch} is not finite")
             entry["valid_ndcg10"] = metric
-            if metric > state.best_metric:
-                state.best_metric = metric
+            if metric > best_metric:
+                best_metric = metric
                 save_checkpoint(state.model, best_path)
-                state.best_path = best_path
         if state.model.num_parameters() != n_params:
             raise NumericError("parameter count changed during training")
         log.append(entry)
@@ -301,7 +297,7 @@ def fit(
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return TrainResult(
         best_path=best_path,
-        best_metric=state.best_metric,
+        best_metric=best_metric,
         log=log,
         log_path=log_path,
     )

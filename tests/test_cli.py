@@ -24,7 +24,6 @@ from diffrank import cli
 from diffrank.config import (
     PRESETS,
     SCHEMA,
-    apply_overrides,
     parse_config_file,
     resolve_config,
 )
@@ -155,13 +154,16 @@ def test_snapshot_round_trips_through_the_parser(tmp_path):
     assert replayed.values == config.values
 
 
-def test_apply_overrides_layers_on_top():
-    config = resolve_config(preset="web30k")
-    updated = apply_overrides(config, {"epochs": "7"})
-    assert updated["epochs"] == 7
-    assert config["epochs"] == 200  # original untouched
-    with pytest.raises(ConfigError, match="nope"):
-        apply_overrides(config, {"nope": "1"})
+def test_command_flags_layer_on_top_of_set():
+    args = cli.build_parser().parse_args(
+        ["diversity", "--checkpoint", "c", "--preset", "web30k",
+         "--set", "repeat=3", "--set", "epochs=7", "--repeat", "5"]
+    )
+    config = cli._resolved(args, {"repeat": "repeat", "test_cache": "test_cache"})
+    assert config["repeat"] == 5  # the flag beats --set
+    assert config["epochs"] == 7  # --set still applies to other keys
+    assert config["test_cache"] == ""  # an unset flag leaves its key alone
+    assert config["denoise_layers"] == 2  # the preset survives
 
 
 def test_typed_builders():
@@ -269,12 +271,18 @@ def test_prepare_oversized_feature_id_exits_3(tmp_path, capsys):
     assert "bad.txt:2" in capsys.readouterr().err
 
 
-def _prepare_error(tmp_path, capsys, train) -> str:
-    code = cli.main(["prepare", "--train", str(train), "--out-dir", str(tmp_path / "o")])
-    assert code == 3
+def _one_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
     return err
+
+
+def _prepare_error(tmp_path, capsys, train, *extra) -> str:
+    out_dir = tmp_path / "o"
+    code = cli.main(["prepare", "--train", str(train), "--out-dir", str(out_dir), *extra])
+    assert code == 3
+    assert not out_dir.exists()  # a failing prepare leaves no directory
+    return _one_error(capsys)
 
 
 def test_prepare_missing_input_exits_3(tmp_path, capsys):
@@ -309,6 +317,55 @@ def test_train_missing_cache_fails_before_training(tmp_path, capsys):
     assert code == 3
     assert "prepare" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_prepare_missing_later_split_exits_3(workspace, tmp_path, capsys):
+    # the train split parses; the test split it names is missing
+    train = workspace["root"] / "train.txt"
+    err = _prepare_error(tmp_path, capsys, train, "--test", str(tmp_path / "absent.txt"))
+    assert "absent.txt" in err
+
+
+def test_directory_as_cache_exits_3(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code = cli.main([
+        "train",
+        "--train-cache", str(folder),
+        "--valid-cache", str(folder),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 3
+    err = _one_error(capsys)
+    assert str(folder) in err and "Is a directory" in err and "does not exist" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_directory_as_checkpoint_exits_3(workspace, tmp_path, capsys):
+    code = cli.main([
+        "evaluate",
+        "--checkpoint", str(tmp_path),
+        "--test-cache", str(workspace["test_cache"]),
+        "--out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 3
+    err = _one_error(capsys)
+    assert str(tmp_path) in err and "Is a directory" in err and "does not exist" not in err
+
+
+def test_unwritable_output_path_exits_3(workspace, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli.main([
+        "prepare", "--train", str(workspace["root"] / "train.txt"), "--out-dir", str(taken)
+    ])
+    assert code == 3
+    err = _one_error(capsys)
+    assert str(taken) in err and "File exists" in err
+    # --out names a directory
+    assert _evaluate(workspace, tmp_path) == 3
+    err = _one_error(capsys)
+    assert str(tmp_path) in err and "Is a directory" in err
 
 
 def test_train_rejects_unknown_set_key(capsys):

@@ -160,18 +160,23 @@ class TestParsing:
             letor.parse_letor(str(p))
 
 
+def _self_normalized(ds):
+    """ds z-scored with its own stats, as the training split is."""
+    return letor.normalize(ds, letor.compute_norm_stats(ds))
+
+
 class TestNormalize:
     def test_two_point_column_maps_to_unit_scores(self, tmp_path):
         p = tmp_path / "n.txt"
         p.write_text("0 qid:1 1:1.0\n1 qid:1 1:3.0\n")
-        ds = letor.normalize(letor.parse_letor(str(p)))
+        ds = _self_normalized(letor.parse_letor(str(p)))
         col = np.concatenate([g.feature_matrix()[:, 0] for g in ds.groups])
         np.testing.assert_allclose(col, [-1.0, 1.0], atol=1e-15)
 
     def test_constant_column_maps_to_zero_with_std_one(self, tmp_path):
         p = tmp_path / "n.txt"
         p.write_text("0 qid:1 1:7.0 2:1.0\n1 qid:1 1:7.0 2:2.0\n")
-        ds = letor.normalize(letor.parse_letor(str(p)))
+        ds = _self_normalized(letor.parse_letor(str(p)))
         assert ds.norm_stats.std[0] == 1.0
         np.testing.assert_allclose(ds.groups[0].feature_matrix()[:, 0], 0.0)
 
@@ -180,7 +185,7 @@ class TestNormalize:
         valid = tmp_path / "valid.txt"
         train.write_text("0 qid:1 1:0.0\n1 qid:1 1:2.0\n")
         valid.write_text("0 qid:9 1:4.0\n")
-        tr = letor.normalize(letor.parse_letor(str(train)))
+        tr = _self_normalized(letor.parse_letor(str(train)))
         va = letor.normalize(letor.parse_letor(str(valid)), stats=tr.norm_stats)
         # (4 - 1) / 1 under train stats, not 0 under its own
         assert va.groups[0].feature_matrix()[0, 0] == pytest.approx(3.0)
@@ -200,7 +205,7 @@ class TestNormalize:
             for i in range(16)
         ]
         p.write_text("\n".join(lines) + "\n")
-        once = letor.normalize(letor.parse_letor(str(p)))
+        once = _self_normalized(letor.parse_letor(str(p)))
         stats = letor.compute_norm_stats(once)
         np.testing.assert_allclose(stats.mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(stats.std, 1.0, atol=1e-12)
@@ -291,7 +296,7 @@ class TestDataset:
 
 class TestCache:
     def test_round_trip_bit_exact(self, rng, tmp_path):
-        ds = letor.normalize(_random_dataset(rng))
+        ds = _self_normalized(_random_dataset(rng))
         path = str(tmp_path / "ds.cache")
         letor.cache_write(ds, path)
         assert _datasets_equal(ds, letor.cache_read(path))
@@ -347,7 +352,7 @@ class TestCache:
 
     def test_read_gives_aligned_read_only_views(self, rng, tmp_path):
         path = str(tmp_path / "ds.cache")
-        letor.cache_write(letor.normalize(_random_dataset(rng)), path)
+        letor.cache_write(_self_normalized(_random_dataset(rng)), path)
         ds = letor.cache_read(path)
         for column in (ds.features, ds.labels, ds.doc_index, ds.qids, ds.counts):
             assert not column.flags.writeable and column.flags.aligned

@@ -257,13 +257,19 @@ def test_metrics_match_loop_reference_on_long_lists_with_ties():
     assert report.n_queries == len(kept) and report.n_excluded == len(sizes) - len(kept)
     for name, fn in AT_K.items():
         for k in cutoffs:
-            assert report.per_query[name][k] == [fn(y, o, k) for y, o in kept]
+            assert report.values[name][k] == float(np.mean([fn(y, o, k) for y, o in kept]))
 
 
 def test_cutoff_below_one_is_rejected():
-    for fn in AT_K.values():
+    labels, order = np.array([1, 0]), np.array([0, 1])
+    for k in (0, -1):
+        for fn in AT_K.values():
+            with pytest.raises(ValueError):
+                fn(labels, order, k)
         with pytest.raises(ValueError):
-            fn(np.array([1, 0]), np.array([0, 1]), 0)
+            mt.evaluate_rankings([labels], [order], cutoffs=(k,))
+        with pytest.raises(ValueError):
+            mt.ranking_diversity([order, order[::-1]], k)
 
 
 @given(

@@ -34,6 +34,22 @@ def small_model(dtype="float64", **overrides) -> DenoiseModel:
     return DenoiseModel(ModelConfig(**base), SPEC, dtype=dtype, seed=5)
 
 
+class FixedStart:
+    """Generator stand-in whose first standard_normal draw is `start`, the
+    chain's starting noise; later draws come from default_rng(seed)."""
+
+    def __init__(self, start, seed=0):
+        self._start = np.array(start, dtype=np.float64)
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, n):
+        if self._start is None:
+            return self._rng.standard_normal(n)
+        start, self._start = self._start, None
+        assert start.shape == (n,)
+        return start
+
+
 @pytest.fixture
 def table():
     return build_schedule(SPEC)
@@ -186,7 +202,7 @@ def test_ties_break_by_document_position(table):
     model = small_model()
     feats = np.tile(np.array([[0.3, -0.2, 0.9, 0.1]]), (5, 1))
     cfg = SamplerConfig(reverse_steps=3, seed=2, zero_variance=True)
-    out = rank_query(model, feats, table, cfg, y_init=np.full(5, 0.4))
+    out = rank_query(model, feats, table, cfg, rng=FixedStart(np.full(5, 0.4)))
     assert np.all(out.scores == out.scores[0])
     np.testing.assert_array_equal(out.order, np.arange(5))
 
@@ -218,13 +234,11 @@ def test_zero_variance_diversity_comes_only_from_init(table, feats):
     cfg = SamplerConfig(reverse_steps=6, seed=0, zero_variance=True)
     init = np.array([0.5, -1.2, 0.0, 2.0, -0.3, 1.1])
     # same starting noise, different generators: identical trajectories
-    a = rank_query(model, feats, table, cfg, rng=np.random.default_rng(1), y_init=init)
-    b = rank_query(model, feats, table, cfg, rng=np.random.default_rng(999), y_init=init)
+    a = rank_query(model, feats, table, cfg, rng=FixedStart(init, seed=1))
+    b = rank_query(model, feats, table, cfg, rng=FixedStart(init, seed=999))
     np.testing.assert_array_equal(a.scores, b.scores)
     # different starting noise: different outcome
-    c = rank_query(
-        model, feats, table, cfg, rng=np.random.default_rng(1), y_init=init + 0.7
-    )
+    c = rank_query(model, feats, table, cfg, rng=FixedStart(init + 0.7, seed=1))
     assert not np.array_equal(a.scores, c.scores)
 
 
@@ -232,8 +246,8 @@ def test_posterior_noise_changes_outcome_when_variance_on(table, feats):
     model = small_model()
     init = np.linspace(-1, 1, 6)
     noisy = SamplerConfig(reverse_steps=6, seed=0)
-    a = rank_query(model, feats, table, noisy, rng=np.random.default_rng(1), y_init=init)
-    b = rank_query(model, feats, table, noisy, rng=np.random.default_rng(2), y_init=init)
+    a = rank_query(model, feats, table, noisy, rng=FixedStart(init, seed=1))
+    b = rank_query(model, feats, table, noisy, rng=FixedStart(init, seed=2))
     assert not np.array_equal(a.scores, b.scores)
 
 
