@@ -316,6 +316,13 @@ def cmd_diversity(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    for flag, count in (
+        ("--op-trials", args.op_trials),
+        ("--loss-trials", args.loss_trials),
+        ("--directions", args.directions),
+    ):
+        if count < 1:  # zero trials would compare nothing and still pass
+            raise ConfigError(f"{flag} must be >= 1, got {count}")
     results = run_all_checks(
         seed=args.seed,
         op_trials=args.op_trials,

@@ -9,6 +9,11 @@ Labels are integer relevance grades 0..4. A Dataset stores each query's
 documents as contiguous rows of one feature matrix: queries in the order
 they first appear, documents in file order within a query. Every document
 keeps its position in the source file (doc_index).
+
+A dense file, every line listing features 1..k in order as the public web
+corpora do, is read with one np.loadtxt; any other file token by token.
+The choice is made from the input alone, and both give the same Dataset
+or the same error.
 """
 
 from __future__ import annotations
@@ -156,35 +161,78 @@ def _parse_label(token: str, path: str, lineno: int) -> int:
     return value
 
 
-def _read_entries(path: str) -> tuple[list, list[int], list[float]]:
-    docs: list[tuple[int, int, int, int]] = []  # label, qid, line, feature count
+def _document_lines(fh):
+    """(line number, text) of every line holding a document, comment cut."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_head(line: str, path: str, lineno: int) -> tuple[int, int, str]:
+    """Label, query id and feature text of one document line."""
+    head = line.split(None, 2)
+    if len(head) < 2:
+        raise ParseError("expected '<label> qid:<id> ...'", path, lineno)
+    label = _parse_label(head[0], path, lineno)
+    if not head[1].startswith("qid:"):
+        raise ParseError(
+            f"expected qid:<id> as the second field, got {head[1]!r}", path, lineno
+        )
+    try:
+        qid = int(head[1][4:])
+    except ValueError:
+        raise ParseError(
+            f"query id {head[1][4:]!r} is not an integer", path, lineno
+        ) from None
+    if not -(2**63) <= qid < 2**63:
+        raise ParseError(f"query id {qid} does not fit in 64 bits", path, lineno)
+    return label, qid, head[2] if len(head) > 2 else ""
+
+
+def _check_finite(values: np.ndarray, path: str, locate) -> None:
+    """Reject the first non-finite value in file order; locate maps its
+    flat index in values to (feature id, line number)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        entry = int(np.argmin(finite))
+        fid, lineno = locate(entry)
+        raise ValidationError(
+            f"feature {fid} is {values.flat[entry]} at {path}:{lineno}; "
+            "feature values must be finite"
+        )
+
+
+def _grouped(docs: list, rows: np.ndarray) -> Dataset:
+    """Dataset of the documents (label, qid, line) with feature rows in
+    file order."""
+    labels, qids, _ = zip(*docs)
+    # one stable sort by first-seen query makes each query's rows
+    # contiguous and keeps file order inside it
+    first_seen: dict[int, int] = {}
+    group_of = np.array([first_seen.setdefault(q, len(first_seen)) for q in qids])
+    doc_index = np.argsort(group_of, kind="stable")
+    return Dataset(
+        features=rows[doc_index],
+        labels=np.array(labels)[doc_index],
+        doc_index=doc_index,
+        qids=list(first_seen),
+        counts=np.bincount(group_of),
+    )
+
+
+def _parse_tokens(path: str, k_hint: int | None) -> Dataset:
+    """Read any file token by token; a fault raises naming its line."""
+    docs: list[tuple[int, int, int]] = []  # label, qid, line
+    widths: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.partition("#")[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) < 2:
-                raise ParseError("expected '<label> qid:<id> ...'", path, lineno)
-            label = _parse_label(tokens[0], path, lineno)
-            if not tokens[1].startswith("qid:"):
-                raise ParseError(
-                    f"expected qid:<id> as the second field, got {tokens[1]!r}",
-                    path,
-                    lineno,
-                )
-            try:
-                qid = int(tokens[1][4:])
-            except ValueError:
-                raise ParseError(
-                    f"query id {tokens[1][4:]!r} is not an integer", path, lineno
-                ) from None
-            if not -(2**63) <= qid < 2**63:
-                raise ParseError(f"query id {qid} does not fit in 64 bits", path, lineno)
+        for lineno, line in _document_lines(fh):
+            label, qid, rest = _parse_head(line, path, lineno)
+            tokens = rest.split()
             seen: set[int] = set()
-            for tok in tokens[2:]:
+            for tok in tokens:
                 fid_s, sep, val_s = tok.partition(":")
                 if not sep:
                     raise ParseError(f"malformed feature token {tok!r}", path, lineno)
@@ -204,8 +252,87 @@ def _read_entries(path: str) -> tuple[list, list[int], list[float]]:
                 seen.add(fid)
                 cols.append(fid - 1)
                 vals.append(val)
-            docs.append((label, qid, lineno, len(tokens) - 2))
-    return docs, cols, vals
+            docs.append((label, qid, lineno))
+            widths.append(len(tokens))
+    if not docs:
+        raise DataError(f"no documents found in {path}")
+    k_data = max(cols, default=-1) + 1
+    k = max(k_data, k_hint or 0)
+    if k == 0:
+        raise DataError(f"no features found in {path}")
+
+    def line_of(entry: int) -> int:
+        return docs[int(np.searchsorted(np.cumsum(widths), entry, side="right"))][2]
+
+    if len(docs) * k > MAX_FEATURE_CELLS:
+        size = f"a {len(docs)} x {k} feature matrix, over the limit of {MAX_FEATURE_CELLS} cells"
+        if k > k_data:
+            raise ParseError(f"feature count hint {k} implies {size}", path)
+        raise ParseError(f"feature id {k} implies {size}", path, line_of(cols.index(k - 1)))
+    values = np.array(vals, dtype=np.float64)
+    _check_finite(values, path, lambda entry: (cols[entry] + 1, line_of(entry)))
+    rows = np.zeros((len(docs), k), dtype=np.float64)
+    rows[np.repeat(np.arange(len(docs)), widths), cols] = values
+    return _grouped(docs, rows)
+
+
+# Printable ASCII but the colon. Deleting these bytes from a dense line's
+# features leaves ":" and then " :" k - 1 times; anything else, such as a
+# tab, a token without a colon or one with two, leaves something else.
+_TOKEN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord(":"))
+_PAIR = np.dtype([("id", np.int64), ("value", np.float64)])
+
+
+def _parse_dense(path: str, k_hint: int | None) -> Dataset | None:
+    """Parse a file whose every line lists features 1..k in that order,
+    reading all feature values with one np.loadtxt.
+
+    Returns None for any other file, and for a fault in a label, query id
+    or feature token, so that _parse_tokens reads the file and reports
+    the first fault by its line. Only what the token loop reads alike is
+    accepted: ASCII tokens "<id>:<value>" one space apart, ids parsed as
+    integers (so "1.0:0.5", which int() refuses, is not read as id 1) and
+    equal to 1..k. A non-finite value then raises the error _parse_tokens
+    would raise, since every check it makes earlier has passed."""
+    docs: list[tuple[int, int, int]] = []  # label, qid, line
+    rests: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in _document_lines(fh):
+                label, qid, rest = _parse_head(line, path, lineno)
+                docs.append((label, qid, lineno))
+                rests.append(rest)
+    except (UnicodeDecodeError, ParseError, ValidationError):
+        return None
+    if not docs:
+        return None
+    n, k = len(docs), rests[0].count(":")
+    # before anything of size n x k is allocated
+    if k == 0 or n * max(k, k_hint or 0) > MAX_FEATURE_CELLS:
+        return None
+    # each copy of the feature text goes as soon as the next is made: in a
+    # dense file it is about as large as the feature matrix
+    text = "\n".join(rests)
+    del rests
+    if not text.isascii():
+        return None
+    separators = text.encode("ascii").translate(None, _TOKEN_BYTES)
+    if separators != b"\n".join([b":" + b" :" * (k - 1)] * n):
+        return None
+    lines = text.replace(":", " ").split("\n")
+    del text
+    try:
+        table = np.loadtxt(lines, dtype=np.dtype([("f", _PAIR, (k,))]), ndmin=1)["f"]
+    except ValueError:
+        return None
+    del lines
+    if not (table["id"] == np.arange(1, k + 1)).all():
+        return None
+    values = table["value"]
+    _check_finite(values, path, lambda entry: (entry % k + 1, docs[entry // k][2]))
+    if (k_hint or 0) > k:
+        values = np.pad(values, ((0, 0), (0, k_hint - k)))
+    return _grouped(docs, values)
 
 
 def _undecodable_line(path: str) -> int | None:
@@ -221,55 +348,20 @@ def _undecodable_line(path: str) -> int | None:
 
 
 def parse_letor(path: str, k_hint: int | None = None) -> Dataset:
-    """Parse a ranking data file into grouped, densely zero-filled rows."""
+    """Parse a ranking data file into grouped, densely zero-filled rows.
+
+    A dense file, every line listing features 1..k in order, is read in
+    one vectorised pass; any other file token by token. Both give the
+    same Dataset, and the same error for a faulty file."""
     try:
-        docs, cols, vals = _read_entries(path)
+        ds = _parse_dense(path, k_hint)
+        return _parse_tokens(path, k_hint) if ds is None else ds
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise ParseError(
             f"line is not UTF-8 text ({e.reason})", path, _undecodable_line(path)
         ) from None
-    if not docs:
-        raise DataError(f"no documents found in {path}")
-    labels, qids, linenos, widths = zip(*docs)
-    k_data = max(cols, default=-1) + 1
-    k = max(k_data, k_hint or 0)
-    if k == 0:
-        raise DataError(f"no features found in {path}")
-    if len(docs) * k > MAX_FEATURE_CELLS:
-        size = f"a {len(docs)} x {k} feature matrix, over the limit of {MAX_FEATURE_CELLS} cells"
-        if k > k_data:
-            raise ParseError(f"feature count hint {k} implies {size}", path)
-        entry = cols.index(k - 1)
-        doc = int(np.searchsorted(np.cumsum(widths), entry, side="right"))
-        raise ParseError(f"feature id {k} implies {size}", path, linenos[doc])
-
-    values = np.array(vals, dtype=np.float64)
-    finite = np.isfinite(values)
-    if not finite.all():
-        entry = int(np.argmin(finite))
-        doc = int(np.searchsorted(np.cumsum(widths), entry, side="right"))
-        raise ValidationError(
-            f"feature {cols[entry] + 1} is {values[entry]} at {path}:{linenos[doc]}; "
-            "feature values must be finite"
-        )
-    # one stable sort by first-seen query makes each query's rows
-    # contiguous and keeps file order inside it
-    first_seen: dict[int, int] = {}
-    group_of = np.array([first_seen.setdefault(q, len(first_seen)) for q in qids])
-    doc_index = np.argsort(group_of, kind="stable")
-    row_of = np.empty_like(doc_index)
-    row_of[doc_index] = np.arange(doc_index.size)
-    features = np.zeros((len(labels), k), dtype=np.float64)
-    features[np.repeat(row_of, widths), cols] = values
-    return Dataset(
-        features=features,
-        labels=np.array(labels)[doc_index],
-        doc_index=doc_index,
-        qids=list(first_seen),
-        counts=np.bincount(group_of),
-    )
 
 
 def compute_norm_stats(ds: Dataset) -> NormStats:

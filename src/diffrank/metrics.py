@@ -32,10 +32,11 @@ def ranking_order(scores: np.ndarray) -> np.ndarray:
 
 def _depth(n: int, k) -> int:
     """Ranks that cutoff k (an integer or "ALL") reads of an n-document list."""
-    depth = n if k == "ALL" else min(int(k), n)
-    if depth < 1:
-        raise ValueError(f"cutoff {k} needs k >= 1 and a non-empty list, got {n} documents")
-    return depth
+    if k != "ALL" and int(k) < 1:
+        raise ValueError(f"cutoff {k} needs k >= 1")
+    if n < 1:
+        raise ValueError(f"cutoff {k} needs a non-empty list, got {n} documents")
+    return n if k == "ALL" else min(int(k), n)
 
 
 def _curves(labels: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
@@ -125,6 +126,8 @@ def evaluate_rankings(
 ) -> MetricsReport:
     report = MetricsReport(cutoffs=list(cutoffs))
     per_query = {name: {k: [] for k in cutoffs} for name in METRICS}
+    for k in cutoffs:  # also when no query is scored
+        _depth(1, k)
     for labels, order in zip(labels_list, orders):
         labels = np.asarray(labels, dtype=np.float64)
         if labels.max(initial=0.0) == 0.0:

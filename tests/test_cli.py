@@ -656,6 +656,16 @@ def test_gradcheck_command_passes_quickly(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("flag", ["--op-trials", "--loss-trials", "--directions"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gradcheck_rejects_counts_below_one(capsys, flag, count):
+    counts = {"--op-trials": "1", "--loss-trials": "1", "--directions": "1", flag: count}
+    assert cli.main(["gradcheck", *[a for pair in counts.items() for a in pair]]) == 2
+    out, err = capsys.readouterr()
+    assert err.count("error:") == 1 and flag in err
+    assert "checks passed" not in out
+
+
 def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
     real_softplus = ad.softplus
 

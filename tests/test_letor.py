@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from diffrank import letor
 from diffrank.errors import (
     CacheCorruptionError,
     DataError,
+    DiffrankError,
     IncompatibilityError,
     ParseError,
     ValidationError,
@@ -447,3 +449,136 @@ def test_partition_property(tmp_path_factory, labels, qids):
         # row i of a group is line doc_index[i] of the file
         np.testing.assert_array_equal(g.feature_matrix()[:, 0], idx)
         np.testing.assert_array_equal(g.labels(), [labels[i] for i in idx])
+
+
+# ---------------------------------------------------------------------------
+# dense files: one np.loadtxt pass, the token loop for everything else
+
+
+def _assert_same_bytes(a: letor.Dataset, b: letor.Dataset) -> None:
+    for name in ("features", "labels", "doc_index", "qids", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        # tobytes, so that -0.0 and 0.0 differ
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def _value_text():
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(min_value=-(10**9), max_value=10**9).map(str),
+        st.builds(
+            "{}{}{}".format,
+            st.integers(min_value=-999, max_value=999),
+            st.sampled_from(["e", "E"]),
+            st.integers(min_value=-30, max_value=30),
+        ),
+        st.just("-0.0"),
+    )
+
+
+@st.composite
+def _dense_files(draw):
+    """Lines of a dense file, each as (head, feature tokens)."""
+    k = draw(st.integers(min_value=1, max_value=20))
+    qids = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-1000, max_value=1000),
+                st.integers(min_value=2**53, max_value=2**63 - 1),
+            ),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    extra = draw(st.lists(st.sampled_from(qids), max_size=30))
+    lines = []
+    for qid in draw(st.permutations(qids + extra)):
+        grade = draw(st.integers(min_value=0, max_value=4))
+        label = draw(st.sampled_from([str(grade), f"{grade}.0"]))
+        values = draw(st.lists(_value_text(), min_size=k, max_size=k))
+        lines.append((f"{label} qid:{qid}", [f"{j}:{v}" for j, v in enumerate(values, 1)]))
+    return lines
+
+
+@given(lines=_dense_files())
+@settings(max_examples=60)
+def test_dense_path_matches_token_loop(tmp_path_factory, lines):
+    """A dense file gives, byte for byte, the Dataset of the same file with
+    every line's tokens reversed, which only the token loop reads."""
+    root = tmp_path_factory.mktemp("dense")
+    forward, reverse = root / "forward.txt", root / "reverse.txt"
+    forward.write_text("".join(f"{h} {' '.join(t)}\n" for h, t in lines))
+    reverse.write_text("".join(f"{h} {' '.join(t[::-1])}\n" for h, t in lines))
+    with mock.patch.object(letor, "_parse_tokens", side_effect=AssertionError("token loop")):
+        fast = letor.parse_letor(str(forward))
+    _assert_same_bytes(fast, letor.parse_letor(str(reverse)))
+    # query ids past 2**53 keep every digit
+    assert fast.qids.tolist() == list(dict.fromkeys(int(h.split("qid:")[1]) for h, _ in lines))
+    # with k = 1 there is nothing to reverse
+    _assert_same_bytes(fast, letor._parse_tokens(str(forward), None))
+
+
+DENSE = """\
+2 qid:7 1:0.5 2:-1.25 3:4
+0 qid:-3 1:1e-3 2:0.0 3:-0.0 # a comment
+1 qid:7 1:2 2:3.5 3:1E2
+"""
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("2:0.0", "2:1_0"),  # float() reads 10.0, loadtxt refuses
+        ("2:0.0", "2:0x10"),
+        ("2:0.0", "2:1e400"),
+        ("2:0.0", "2:nan"),
+        ("2:0.0", "2:-inf"),
+        ("2:0.0", "2.0:0.5"),  # float parsing would read id 2
+        ("2:0.0", "2e0:0.5"),
+        ("2:0.0", "02:0.5"),
+        ("2:0.0", "+2:0.5"),
+        ("2:0.0", "2:0.5:1"),
+        ("2:0.0", "2::0.5"),
+        ("2:0.0", "2:\u0661"),  # an Arabic-Indic one, which float() reads
+        ("1:1e-3 2:0.0", "1:1e-3:2 0.0"),  # one colon too many, one too few
+        ("1:1e-3 2:0.0", "1:1e-3\t2:0.0"),
+        ("1:1e-3 2:0.0", "1:1e-3  2:0.0"),
+        ("1:1e-3 2:0.0", "2:0.0 1:1e-3"),
+        ("1:1e-3 2:0.0", "1:1e-3 2:0.0 2:0.0"),
+        ("1:2 2:3.5 3:1E2", "1:2 2:3.5"),  # a ragged last line
+        ("1:2 2:3.5 3:1E2", "1:2 2:3.5 3:1E2 4:1"),
+        ("qid:-3", "qid:x"),
+        ("0 qid:-3", "7 qid:-3"),
+    ],
+)
+def test_dense_file_with_an_odd_line_reads_as_the_token_loop(tmp_path, old, new):
+    """parse_letor gives the token loop's Dataset, or its exception with
+    the same message and line."""
+    p = tmp_path / "dense.txt"
+    p.write_text(DENSE.replace(old, new, 1))
+    try:
+        expected = letor._parse_tokens(str(p), None)
+    except DiffrankError as e:
+        with pytest.raises(type(e)) as got:
+            letor.parse_letor(str(p))
+        assert str(got.value) == str(e)
+    else:
+        _assert_same_bytes(letor.parse_letor(str(p)), expected)
+
+
+def test_dense_k_hint_widens_with_zeros(tmp_path):
+    p = tmp_path / "dense.txt"
+    p.write_text(DENSE)
+    _assert_same_bytes(letor.parse_letor(str(p), k_hint=5), letor._parse_tokens(str(p), 5))
+
+
+@pytest.mark.parametrize("limit,k_hint,message", [(8, None, "feature id 3 implies"), (11, 4, "hint 4")])
+def test_dense_file_over_the_cell_limit_is_refused(tmp_path, monkeypatch, limit, k_hint, message):
+    monkeypatch.setattr(letor, "MAX_FEATURE_CELLS", limit)
+    p = tmp_path / "dense.txt"
+    p.write_text(DENSE)
+    with pytest.raises(ParseError, match=message):
+        letor.parse_letor(str(p), k_hint=k_hint)
+    monkeypatch.setattr(letor, "MAX_FEATURE_CELLS", 12)
+    letor.parse_letor(str(p), k_hint=k_hint)

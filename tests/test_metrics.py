@@ -268,6 +268,9 @@ def test_cutoff_below_one_is_rejected():
                 fn(labels, order, k)
         with pytest.raises(ValueError):
             mt.evaluate_rankings([labels], [order], cutoffs=(k,))
+        # a split whose every query has all-zero labels scores no query
+        with pytest.raises(ValueError):
+            mt.evaluate_rankings([np.zeros(3)], [np.arange(3)], cutoffs=(k,))
         with pytest.raises(ValueError):
             mt.ranking_diversity([order, order[::-1]], k)
 
