@@ -18,6 +18,7 @@ or the same error.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -203,9 +204,9 @@ def _check_finite(values: np.ndarray, path: str, locate) -> None:
         )
 
 
-def _grouped(docs: list, rows: np.ndarray) -> Dataset:
-    """Dataset of the documents (label, qid, line) with feature rows in
-    file order."""
+def _grouped(docs: list, features_of) -> Dataset:
+    """Dataset of the documents (label, qid, line) listed in file order;
+    features_of(doc_index) gives their feature rows in doc_index's order."""
     labels, qids, _ = zip(*docs)
     # one stable sort by first-seen query makes each query's rows
     # contiguous and keeps file order inside it
@@ -213,7 +214,7 @@ def _grouped(docs: list, rows: np.ndarray) -> Dataset:
     group_of = np.array([first_seen.setdefault(q, len(first_seen)) for q in qids])
     doc_index = np.argsort(group_of, kind="stable")
     return Dataset(
-        features=rows[doc_index],
+        features=features_of(doc_index),
         labels=np.array(labels)[doc_index],
         doc_index=doc_index,
         qids=list(first_seen),
@@ -271,68 +272,69 @@ def _parse_tokens(path: str, k_hint: int | None) -> Dataset:
         raise ParseError(f"feature id {k} implies {size}", path, line_of(cols.index(k - 1)))
     values = np.array(vals, dtype=np.float64)
     _check_finite(values, path, lambda entry: (cols[entry] + 1, line_of(entry)))
-    rows = np.zeros((len(docs), k), dtype=np.float64)
-    rows[np.repeat(np.arange(len(docs)), widths), cols] = values
-    return _grouped(docs, rows)
+
+    def scattered(doc_index: np.ndarray) -> np.ndarray:
+        # each value goes straight to its document's grouped row
+        row_of = np.empty_like(doc_index)
+        row_of[doc_index] = np.arange(doc_index.size)
+        rows = np.zeros((len(docs), k), dtype=np.float64)
+        rows[np.repeat(row_of, widths), cols] = values
+        return rows
+
+    return _grouped(docs, scattered)
 
 
-# Printable ASCII but the colon. Deleting these bytes from a dense line's
-# features leaves ":" and then " :" k - 1 times; anything else, such as a
-# tab, a token without a colon or one with two, leaves something else.
-_TOKEN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord(":"))
-_PAIR = np.dtype([("id", np.int64), ("value", np.float64)])
+def _dense_line(k: int) -> re.Pattern:
+    """Feature text listing features 1..k in order, one space apart, each
+    value a run of printable ASCII but the colon. Compiling it takes 30 to
+    45 us per feature (k from 136 to 50,000); re keeps it for the next
+    file of the same k."""
+    return re.compile(" ".join(f"{j}:[!-9;-~]+" for j in range(1, k + 1)))
 
 
 def _parse_dense(path: str, k_hint: int | None) -> Dataset | None:
     """Parse a file whose every line lists features 1..k in that order,
     reading all feature values with one np.loadtxt.
 
-    Returns None for any other file, and for a fault in a label, query id
-    or feature token, so that _parse_tokens reads the file and reports
-    the first fault by its line. Only what the token loop reads alike is
-    accepted: ASCII tokens "<id>:<value>" one space apart, ids parsed as
-    integers (so "1.0:0.5", which int() refuses, is not read as id 1) and
-    equal to 1..k. A non-finite value then raises the error _parse_tokens
-    would raise, since every check it makes earlier has passed."""
+    Returns None at the first line that is not dense, and for a fault in
+    a label, query id or feature token, so that _parse_tokens reads the
+    file and reports the first fault by its line. Only what the token loop
+    reads alike is accepted: ids spelt exactly "1" to "k" (so "2.0:",
+    "02:" and "+2:" go to the token loop), and values np.loadtxt reads as
+    float64, which float() reads alike. A non-finite value then raises the
+    error _parse_tokens would raise, since every check it makes earlier
+    has passed."""
     docs: list[tuple[int, int, int]] = []  # label, qid, line
-    rests: list[str] = []
+    lines: list[str] = []  # feature text, ids and values space-separated
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in _document_lines(fh):
                 label, qid, rest = _parse_head(line, path, lineno)
+                if not docs:
+                    k = rest.count(":")
+                    # a first line with a gap in its ids leaves before
+                    # a pattern the size of k is compiled
+                    if rest.rpartition(" ")[2].partition(":")[0] != str(k):
+                        return None
+                    dense_line = _dense_line(k)
+                if not dense_line.fullmatch(rest):
+                    return None
                 docs.append((label, qid, lineno))
-                rests.append(rest)
+                lines.append(rest.replace(":", " "))
     except (UnicodeDecodeError, ParseError, ValidationError):
         return None
-    if not docs:
+    # before anything of size N x k is allocated
+    if not docs or len(docs) * max(k, k_hint or 0) > MAX_FEATURE_CELLS:
         return None
-    n, k = len(docs), rests[0].count(":")
-    # before anything of size n x k is allocated
-    if k == 0 or n * max(k, k_hint or 0) > MAX_FEATURE_CELLS:
-        return None
-    # each copy of the feature text goes as soon as the next is made: in a
-    # dense file it is about as large as the feature matrix
-    text = "\n".join(rests)
-    del rests
-    if not text.isascii():
-        return None
-    separators = text.encode("ascii").translate(None, _TOKEN_BYTES)
-    if separators != b"\n".join([b":" + b" :" * (k - 1)] * n):
-        return None
-    lines = text.replace(":", " ").split("\n")
-    del text
     try:
-        table = np.loadtxt(lines, dtype=np.dtype([("f", _PAIR, (k,))]), ndmin=1)["f"]
+        values = np.loadtxt(lines, usecols=range(1, 2 * k, 2), ndmin=2)
     except ValueError:
         return None
     del lines
-    if not (table["id"] == np.arange(1, k + 1)).all():
-        return None
-    values = table["value"]
     _check_finite(values, path, lambda entry: (entry % k + 1, docs[entry // k][2]))
     if (k_hint or 0) > k:
         values = np.pad(values, ((0, 0), (0, k_hint - k)))
-    return _grouped(docs, values)
+    return _grouped(docs, lambda doc_index: values[doc_index])
 
 
 def _undecodable_line(path: str) -> int | None:

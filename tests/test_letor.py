@@ -582,3 +582,26 @@ def test_dense_file_over_the_cell_limit_is_refused(tmp_path, monkeypatch, limit,
         letor.parse_letor(str(p), k_hint=k_hint)
     monkeypatch.setattr(letor, "MAX_FEATURE_CELLS", 12)
     letor.parse_letor(str(p), k_hint=k_hint)
+
+
+@pytest.mark.parametrize(
+    "first,heads_read",
+    [
+        ("1:0.5 2:1", 2),  # dense, so the second line is read too
+        ("1:0.5 3:1", 1),  # a gap: no pattern is even compiled
+        ("2:1 1:0.5", 1),  # reversed
+    ],
+)
+def test_sparse_file_leaves_the_dense_path_at_its_first_sparse_line(tmp_path, first, heads_read):
+    """A sparse file costs the dense attempt the lines up to its first
+    sparse one, not a read of the whole file."""
+    p = tmp_path / "sparse.txt"
+    p.write_text(f"1 qid:1 {first}\n" + "0 qid:2 2:0.25\n" * 50)
+    with (
+        mock.patch.object(letor, "_parse_head", wraps=letor._parse_head) as head,
+        mock.patch.object(letor, "_dense_line", wraps=letor._dense_line) as pattern,
+        mock.patch.object(letor, "_parse_tokens", return_value="token loop"),
+    ):
+        assert letor.parse_letor(str(p)) == "token loop"
+    assert head.call_count == heads_read
+    assert pattern.call_count == heads_read - 1
