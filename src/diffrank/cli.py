@@ -12,7 +12,8 @@ seed. Wall-clock timings appear only on stdout, never inside artifacts.
 
 Exit codes: 0 success, 2 configuration errors, 3 data errors (parse,
 validation, cache, artifact incompatibilities, unreadable or unwritable
-paths), 4 numeric failures, 1 anything else.
+paths), 4 numeric failures, 1 anything else; each error class carries
+its code as `exit_code`.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import PRESETS, RunConfig, resolve_config
-from .errors import (
-    ConfigError,
-    DataError,
-    DiffrankError,
-    IncompatibilityError,
-    NumericError,
-)
+from .errors import ConfigError, DataError, DiffrankError, IncompatibilityError
 from .gradcheck import run_all_checks
 from .letor import (
     Dataset,
@@ -150,6 +145,8 @@ def _describe_split(name: str, ds: Dataset, cache_path: str) -> str:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
+    if args.k_hint is not None and args.k_hint < 1:
+        raise ConfigError(f"--k-hint must be >= 1, got {args.k_hint}")
     train_raw = parse_letor(args.train, k_hint=args.k_hint)
     stats = compute_norm_stats(train_raw)
     splits = [("train", train_raw)]
@@ -423,22 +420,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except DiffrankError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DataError, IncompatibilityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
     except OSError as e:  # a path that cannot be read, created or written
         where = f"{e.filename}: " if e.filename else ""
         print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 3
-    except DiffrankError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

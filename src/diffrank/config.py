@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .losses import LossSpec
 from .metrics import DEFAULT_CUTOFFS
 from .network import ModelConfig
@@ -235,7 +235,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
+        raise DataError(f"cannot read config file {path}: {e.strerror or e}") from None
     for lineno, line in enumerate(lines, start=1):
         body = line.partition("#")[0].strip()
         if not body:

@@ -1,20 +1,27 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto distinct process exit codes, so library code
-should raise the most specific class that applies.
+Each class carries the process exit code the CLI returns for it in
+`exit_code` (subclasses inherit their parent's), so library code should
+raise the most specific class that applies.
 """
 
 
 class DiffrankError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1
+
 
 class ConfigError(DiffrankError):
     """Bad run configuration: unknown key, wrong type, invalid value."""
 
+    exit_code = 2
+
 
 class DataError(DiffrankError):
     """Problem with input data files or caches."""
+
+    exit_code = 3
 
 
 class ParseError(DataError):
@@ -40,6 +47,8 @@ class CacheCorruptionError(DataError):
 class IncompatibilityError(DiffrankError):
     """Versioned artifact does not match what the reader expects."""
 
+    exit_code = 3
+
 
 class ShapeError(DiffrankError):
     """Tensor operands have incompatible shapes."""
@@ -51,3 +60,5 @@ class DomainError(DiffrankError):
 
 class NumericError(DiffrankError):
     """Non-finite value where training or inference cannot continue."""
+
+    exit_code = 4

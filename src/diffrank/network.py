@@ -19,8 +19,8 @@ Linear -> softplus -> dropout, gated elementwise by the timestep
 embedding, and the first layer adds the noisy label times its own weight
 row `den0.label.w`; the output layer produces one activation per
 relevance grade, and a softmax turns them into weights over the grades
-0..G-1 whose weighted sum is the predicted clean label, guaranteed to stay
-inside [0, G-1].
+0..letor.MAX_LABEL whose weighted sum is the predicted clean label,
+guaranteed to stay inside [0, MAX_LABEL].
 
 Checkpoints are a self-describing binary: magic, version, a JSON header
 (model config, schedule spec, dtype, parameter manifest), then raw
@@ -46,10 +46,11 @@ from .errors import (
     IncompatibilityError,
     ShapeError,
 )
+from .letor import MAX_LABEL
 from .schedule import ScheduleSpec
 
 _CKPT_MAGIC = b"DRCKPTF\x00"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 _CKPT_HEADER_KEYS = ("model", "schedule", "dtype", "params")
 
 
@@ -62,10 +63,9 @@ class ModelConfig:
     denoise_layers: int = 2
     dropout_p: float = 0.1
     use_attention: bool = True
-    num_grades: int = 5
 
     def __post_init__(self):
-        for name in ("k", "d_model", "heads", "blocks", "denoise_layers", "num_grades"):
+        for name in ("k", "d_model", "heads", "blocks", "denoise_layers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -86,8 +86,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_p <= 0.8:
             raise ConfigError(f"dropout_p must lie in [0, 0.8], got {self.dropout_p}")
-        if self.num_grades < 2:
-            raise ConfigError(f"num_grades must be >= 2, got {self.num_grades}")
 
 
 def sinusoidal_embedding(t, d: int) -> np.ndarray:
@@ -154,7 +152,7 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     norm_pair("enc_out.ln", d)
     linear_pair("temb", d, d)
     for j in range(cfg.denoise_layers):
-        fan_out = cfg.num_grades if j == cfg.denoise_layers - 1 else d
+        fan_out = MAX_LABEL + 1 if j == cfg.denoise_layers - 1 else d
         shapes[f"den{j}.w"] = (d, fan_out)
         if j == 0:
             shapes["den0.label.w"] = (1, fan_out)
@@ -288,20 +286,15 @@ class DenoiseModel:
             temb = ad.embedding_lookup(temb, np.repeat(np.arange(steps.size), lengths))
         x = context
         last = cfg.denoise_layers - 1
-        for j in range(cfg.denoise_layers):
+        for j in range(last):
             z = ad.linear(x, self._p(f"den{j}.w"), self._p(f"den{j}.b"))
             if j == 0:
                 z = ad.add(z, ad.matmul(Tensor(y_col), self._p("den0.label.w")))
-            h = ad.dropout(ad.softplus(z), p, training, rng)
-            if j < last:
-                x = ad.mul(h, temb)
-            else:
-                weights = ad.softmax(h)
-                grades = Tensor(
-                    np.arange(cfg.num_grades, dtype=self.dtype).reshape(-1, 1)
-                )
-                return ad.matmul(weights, grades)
-        raise AssertionError("unreachable")
+            x = ad.mul(ad.dropout(ad.softplus(z), p, training, rng), temb)
+        z = ad.linear(x, self._p(f"den{last}.w"), self._p(f"den{last}.b"))
+        weights = ad.softmax(ad.dropout(ad.softplus(z), p, training, rng))
+        grades = Tensor(np.arange(MAX_LABEL + 1, dtype=self.dtype).reshape(-1, 1))
+        return ad.matmul(weights, grades)
 
     def predict_y0(
         self,

@@ -67,30 +67,21 @@ def stride_schedule(timesteps: int, reverse_steps: int) -> list[int]:
         )
     if reverse_steps == 1:
         return [timesteps]
+    # the spacing is 1 or at least 1 + 1/(T-2), so rounded steps stay distinct
     spacing = (timesteps - 1) / (reverse_steps - 1)
-    visited = [round(timesteps - i * spacing) for i in range(reverse_steps)]
-    for prev, cur in zip(visited, visited[1:]):
-        if cur >= prev:
-            raise NumericError(
-                f"stride construction produced a non-descending schedule: {visited}"
-            )
-    return visited
-
-
-def _check_compatible(model: DenoiseModel, table: ScheduleTable) -> None:
-    spec = model.schedule
-    if table.kind != spec.kind or table.timesteps != spec.timesteps:
-        raise IncompatibilityError(
-            f"model was trained with schedule {spec.kind}/T={spec.timesteps}, "
-            f"sampler was given {table.kind}/T={table.timesteps}"
-        )
+    return [round(timesteps - i * spacing) for i in range(reverse_steps)]
 
 
 def _strided(
     model: DenoiseModel, table: ScheduleTable, cfg: SamplerConfig
 ) -> tuple[list[int], ScheduleTable]:
     """Visited timesteps (descending) and the table re-derived over them."""
-    _check_compatible(model, table)
+    spec = model.schedule
+    if table.kind != spec.kind or table.timesteps != spec.timesteps:
+        raise IncompatibilityError(
+            f"model was trained with schedule {spec.kind}/T={spec.timesteps}, "
+            f"sampler was given {table.kind}/T={table.timesteps}"
+        )
     visited = stride_schedule(table.timesteps, cfg.reverse_steps)
     return visited, strided_table(table, list(reversed(visited)))
 

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-SCHEDULE_KINDS = ("linear", "cosine", "sqrt", "trunclinear")
-
 BETA_MIN = 1e-8
 BETA_MAX = 0.999
 TERMINAL_ALPHA_BAR = 0.01
@@ -158,6 +156,7 @@ _BUILDERS = {
     "sqrt": _sqrt_betas,
     "trunclinear": _trunclinear_betas,
 }
+SCHEDULE_KINDS = tuple(_BUILDERS)
 
 
 def _finalize(

@@ -221,7 +221,7 @@ def train_step(batch: list[QueryGroup], state: TrainState, config: TrainConfig) 
         total = q_loss if total is None else ad.add(total, q_loss)
     loss = ad.scale(total, 1.0 / len(batch))
     model.zero_grads()
-    loss.backward()
+    ad.backward(loss)
     state.optimizer.step()
     return float(loss.data)
 
@@ -257,7 +257,6 @@ def fit(
         )
     os.makedirs(out_dir, exist_ok=True)
     state = init_state(config)
-    n_params = state.model.num_parameters()
     _, _, shuffle_ss, eval_ss = np.random.SeedSequence(config.seed).spawn(4)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     best_path = os.path.join(out_dir, "best.ckpt")
@@ -282,14 +281,10 @@ def fit(
                 config.eval_reverse_steps,
                 eval_ss.spawn(1)[0],
             )
-            if not math.isfinite(metric):
-                raise NumericError(f"validation metric at epoch {epoch} is not finite")
             entry["valid_ndcg10"] = metric
             if metric > best_metric:
                 best_metric = metric
                 save_checkpoint(state.model, best_path)
-        if state.model.num_parameters() != n_params:
-            raise NumericError("parameter count changed during training")
         log.append(entry)
     log_path = os.path.join(out_dir, "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as fh:

@@ -32,8 +32,12 @@ from diffrank.errors import (
     ConfigError,
     DataError,
     DiffrankError,
+    DomainError,
     IncompatibilityError,
     NumericError,
+    ParseError,
+    ShapeError,
+    ValidationError,
 )
 from diffrank.gradcheck import run_all_checks
 from diffrank.letor import cache_read, write_letor
@@ -126,6 +130,16 @@ def test_non_finite_float_exits_2_before_reading_data(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_unreadable_config_file_exits_3_naming_the_path_once(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    assert cli.main(["train", "--config", str(path)]) == 3
+    err = _one_error(capsys)
+    assert err.count(str(path)) == 1 and "No such file" in err
+    path.write_text("lr = 0.1\njust a line\n")  # readable but malformed
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert "run.cfg:2" in _one_error(capsys)
+
+
 def test_boolean_spellings():
     for raw, expected in [("true", True), ("YES", True), ("0", False), ("off", False)]:
         assert resolve_config(overrides=[f"zero_variance={raw}"])["zero_variance"] is expected
@@ -140,7 +154,7 @@ def test_config_file_syntax_errors(tmp_path):
     dup.write_text("lr = 0.1\nlr = 0.2\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_file(str(dup))
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(DataError, match="cannot read"):
         parse_config_file(str(tmp_path / "absent.cfg"))
 
 
@@ -283,6 +297,18 @@ def _prepare_error(tmp_path, capsys, train, *extra) -> str:
     assert code == 3
     assert not out_dir.exists()  # a failing prepare leaves no directory
     return _one_error(capsys)
+
+
+@pytest.mark.parametrize("hint", ["0", "-1"])
+def test_prepare_rejects_k_hint_below_one(workspace, tmp_path, capsys, hint):
+    out_dir = tmp_path / "o"
+    code = cli.main([
+        "prepare", "--train", str(workspace["root"] / "train.txt"),
+        "--out-dir", str(out_dir), "--k-hint", hint,
+    ])
+    assert code == 2
+    assert "--k-hint" in _one_error(capsys)
+    assert not out_dir.exists()
 
 
 def test_prepare_missing_input_exits_3(tmp_path, capsys):
@@ -482,19 +508,21 @@ def test_version_one_cache_asks_for_prepare(workspace, tmp_path, capsys):
 
 
 def test_version_one_checkpoint_asks_for_retrain(workspace, tmp_path, capsys):
-    old = tmp_path / "old.ckpt"
-    buf = bytearray(workspace["checkpoint"].read_bytes())
-    struct.pack_into("<I", buf, 8, 1)  # version field sits right after the magic
-    old.write_bytes(bytes(buf))
-    code = cli.main([
-        "evaluate",
-        "--checkpoint", str(old),
-        "--test-cache", str(workspace["test_cache"]),
-        "--out", str(tmp_path / "m.csv"),
-    ])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "version 1" in err and "diffrank train" in err
+    # version 2 went with the num_grades header field; both are retired
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.ckpt"
+        buf = bytearray(workspace["checkpoint"].read_bytes())
+        struct.pack_into("<I", buf, 8, version)  # version sits right after the magic
+        old.write_bytes(bytes(buf))
+        code = cli.main([
+            "evaluate",
+            "--checkpoint", str(old),
+            "--test-cache", str(workspace["test_cache"]),
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 3
+        err = _one_error(capsys)
+        assert f"version {version}" in err and "diffrank train" in err
 
 
 def test_evaluate_rejects_feature_width_mismatch(workspace, tmp_path, capsys):
@@ -698,6 +726,12 @@ def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
         (DataError("x"), 3),
         (IncompatibilityError("x"), 3),
         (NumericError("x"), 4),
+        (DiffrankError("x"), 1),
+        (ParseError("x", "f.txt", 2), 3),
+        (ValidationError("x"), 3),
+        (CacheCorruptionError("x"), 3),
+        (ShapeError("x"), 1),
+        (DomainError("x"), 1),
     ],
 )
 def test_exit_code_mapping(monkeypatch, capsys, exc, expected):
@@ -706,7 +740,8 @@ def test_exit_code_mapping(monkeypatch, capsys, exc, expected):
 
     monkeypatch.setattr("diffrank.cli.cmd_gradcheck", boom)
     assert cli.main(["gradcheck"]) == expected
-    assert "error:" in capsys.readouterr().err
+    assert exc.exit_code == expected
+    _one_error(capsys)
 
 
 def test_module_entry_point_runs_in_subprocess():

@@ -94,6 +94,15 @@ def test_stride_structural_properties(timesteps, steps):
     assert all(a > b for a, b in zip(visited, visited[1:]))
 
 
+def test_stride_is_strictly_descending_for_every_count():
+    # the spacing (T-1)/(R-1) is 1 or at least 1 + 1/(T-2), so no two
+    # rounded steps meet; this sweep backs the absence of a runtime check
+    for timesteps in range(2, 121):
+        for steps in range(2, timesteps + 1):
+            visited = stride_schedule(timesteps, steps)
+            assert all(a > b for a, b in zip(visited, visited[1:])), (timesteps, steps)
+
+
 def test_stride_rejects_bad_counts():
     with pytest.raises(ConfigError):
         stride_schedule(10, 11)

@@ -214,7 +214,7 @@ def test_single_step_descends_on_fixed_noise():
         first = loss_value()
         before = float(first.data)
         model.zero_grads()
-        first.backward()
+        ad.backward(first)
         AdamW(model.params, lr=1e-3, weight_decay=0.0).step()
         after = float(loss_value().data)
         if after < before:
@@ -289,7 +289,7 @@ def _per_query_graph_step(batch, state, config) -> float:
         total = ad.add(total, q_loss)
     loss = ad.scale(total, 1.0 / len(per_query))
     state.model.zero_grads()
-    loss.backward()
+    ad.backward(loss)
     state.optimizer.step()
     return float(loss.data)
 
