@@ -740,7 +740,6 @@ def test_exit_code_mapping(monkeypatch, capsys, exc, expected):
 
     monkeypatch.setattr("diffrank.cli.cmd_gradcheck", boom)
     assert cli.main(["gradcheck"]) == expected
-    assert exc.exit_code == expected
     _one_error(capsys)
 
 
