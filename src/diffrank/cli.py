@@ -101,12 +101,7 @@ def _ranking_setup(
             f"checkpoint expects {model.config.k} features, "
             f"{config['test_cache']} has {ds.k}"
         )
-    sampler = SamplerConfig(
-        reverse_steps=config["reverse_steps"],
-        seed=config["seed"],
-        zero_variance=config["zero_variance"],
-    )
-    return config, model, ds, build_schedule(model.schedule), sampler
+    return config, model, ds, build_schedule(model.schedule), config.sampler_config()
 
 
 def _write_text(path: str, text: str) -> None:

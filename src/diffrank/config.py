@@ -1,24 +1,33 @@
 """Flat key=value run configuration.
 
-One schema covers every command: data paths, model size, schedule,
-loss, optimizer, sampler, and report settings. Values resolve in
-precedence order defaults < preset < config file < --set overrides, and
-unknown keys are rejected everywhere. Helper builders turn the resolved
-mapping into the typed config objects the library consumes.
+One schema covers every command. The typed configs (ModelConfig,
+ScheduleSpec, LossSpec, TrainConfig, SamplerConfig) are the only home of
+their settings: each field with a default is the key of the same name,
+with that default, parsed by the field's annotated type. dropout_p, kind
+and name keep their field names, which checkpoint headers and library
+callers use, under the keys `dropout`, `schedule` and `loss`. The schema
+itself declares only the paths and report settings no typed config owns.
 
-Config files are plain text: `key = value` per line, `#` comments.
-Environment variables are never consulted.
+Values resolve in precedence order defaults < preset < config file <
+--set overrides, and unknown keys are rejected everywhere. Resolving
+builds every typed config, so every command rejects every bad value.
+
+Config files are plain UTF-8 text, `key = value` per line; `#` starts a
+comment at the start of a line or after whitespace. Environment
+variables are never consulted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, DataError
 from .losses import LossSpec
 from .metrics import DEFAULT_CUTOFFS
 from .network import ModelConfig
+from .sampling import SamplerConfig
 from .schedule import ScheduleSpec
 from .training import TrainConfig
 
@@ -81,6 +90,17 @@ def _parse_float(text: str) -> float:
     return value
 
 
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": _identity}
+
+# field -> key where the two differ
+_RENAMED = {"dropout_p": "dropout", "kind": "schedule", "name": "loss"}
+
+
+def _owned(cls) -> list:
+    """(key, field) for each field of a typed config that has a default."""
+    return [(_RENAMED.get(f.name, f.name), f) for f in fields(cls) if f.default is not MISSING]
+
+
 # key -> (parser, default). Defaults mirror the recommended Web30K
 # configuration; presets below override the dataset-specific rows.
 SCHEMA: dict = {
@@ -89,40 +109,16 @@ SCHEMA: dict = {
     "valid_cache": (_identity, ""),
     "test_cache": (_identity, ""),
     "out_dir": (_identity, "diffrank_out"),
-    # model
-    "d_model": (_parse_int, 128),
-    "heads": (_parse_int, 4),
-    "blocks": (_parse_int, 3),
-    "denoise_layers": (_parse_int, 2),
-    "dropout": (_parse_float, 0.1),
-    "use_attention": (_parse_bool, True),
-    # diffusion schedule
-    "schedule": (_identity, "trunclinear"),
-    "timesteps": (_parse_int, 1000),
-    # loss
-    "loss": (_identity, "listnet"),
-    "t_smooth": (_parse_float, 1.0),
-    "mu": (_parse_float, 10.0),
-    "sigma": (_parse_float, 1.0),
-    # optimizer / loop
-    "epochs": (_parse_int, 200),
-    "batch_size": (_parse_int, 128),
-    "lr": (_parse_float, 1e-3),
-    "beta1": (_parse_float, 0.9),
-    "beta2": (_parse_float, 0.999),
-    "adam_eps": (_parse_float, 1e-8),
-    "weight_decay": (_parse_float, 0.01),
-    "eval_every": (_parse_int, 10),
-    "eval_reverse_steps": (_parse_int, 8),
-    "max_list_size": (_parse_int, 512),
-    "dtype": (_identity, "float32"),
-    "seed": (_parse_int, 0),
-    # inference / reports
-    "reverse_steps": (_parse_int, 8),
+    # every defaulted field of the typed configs
+    **{
+        key: (_PARSERS[f.type], f.default)
+        for cls in (ModelConfig, ScheduleSpec, LossSpec, TrainConfig, SamplerConfig)
+        for key, f in _owned(cls)
+    },
+    # reports
     "cutoffs": (_parse_cutoffs, DEFAULT_CUTOFFS),
     "rsd_cutoffs": (_parse_int_cutoffs, (1, 5, 10, 20)),
     "repeat": (_parse_int, 10),
-    "zero_variance": (_parse_bool, False),
 }
 
 PRESETS: dict[str, dict[str, str]] = {
@@ -157,49 +153,21 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def model_config(self, k: int) -> ModelConfig:
-        """Model settings for k input features (the data's own width)."""
-        return ModelConfig(
-            k=k,
-            d_model=self.values["d_model"],
-            heads=self.values["heads"],
-            blocks=self.values["blocks"],
-            denoise_layers=self.values["denoise_layers"],
-            dropout_p=self.values["dropout"],
-            use_attention=self.values["use_attention"],
-        )
-
-    def schedule_spec(self) -> ScheduleSpec:
-        return ScheduleSpec(
-            kind=self.values["schedule"], timesteps=self.values["timesteps"]
-        )
-
-    def loss_spec(self) -> LossSpec:
-        return LossSpec(
-            name=self.values["loss"],
-            t_smooth=self.values["t_smooth"],
-            mu=self.values["mu"],
-            sigma=self.values["sigma"],
-        )
+    def _build(self, cls, **given):
+        """A typed config from its keys' resolved values plus `given` fields."""
+        return cls(**given, **{f.name: self.values[key] for key, f in _owned(cls)})
 
     def train_config(self, k: int) -> TrainConfig:
-        return TrainConfig(
-            model=self.model_config(k),
-            schedule=self.schedule_spec(),
-            loss=self.loss_spec(),
-            epochs=self.values["epochs"],
-            batch_size=self.values["batch_size"],
-            lr=self.values["lr"],
-            beta1=self.values["beta1"],
-            beta2=self.values["beta2"],
-            adam_eps=self.values["adam_eps"],
-            weight_decay=self.values["weight_decay"],
-            eval_every=self.values["eval_every"],
-            eval_reverse_steps=self.values["eval_reverse_steps"],
-            max_list_size=self.values["max_list_size"],
-            seed=self.values["seed"],
-            dtype=self.values["dtype"],
+        """Training settings for k input features (the data's own width)."""
+        return self._build(
+            TrainConfig,
+            model=self._build(ModelConfig, k=k),
+            schedule=self._build(ScheduleSpec),
+            loss=self._build(LossSpec),
         )
+
+    def sampler_config(self) -> SamplerConfig:
+        return self._build(SamplerConfig)
 
     def snapshot_text(self) -> str:
         """Complete key=value dump; feeding it back reproduces the run."""
@@ -228,16 +196,25 @@ def _assign(values: dict, key: str, raw: str, origin: str) -> None:
         raise ConfigError(f"bad value for {key!r} ({origin}): {e}") from e
 
 
+# a comment starts at the start of a line or after whitespace, never
+# inside a value such as runs/exp#3
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Raw key -> value strings from a config file; duplicates rejected."""
     raw: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as e:
         raise DataError(f"cannot read config file {path}: {e.strerror or e}") from None
     for lineno, line in enumerate(lines, start=1):
-        body = line.partition("#")[0].strip()
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({e.reason})") from None
+        body = _COMMENT.split(text, maxsplit=1)[0].strip()
         if not body:
             continue
         key, sep, value = body.partition("=")
@@ -272,4 +249,8 @@ def resolve_config(
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         _assign(values, key.strip(), raw.strip(), origin="--set")
-    return RunConfig(values=values)
+    config = RunConfig(values=values)
+    # every command checks every typed setting, used or not
+    config.train_config(k=1)
+    config.sampler_config()
+    return config

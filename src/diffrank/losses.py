@@ -34,7 +34,7 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class LossSpec:
-    name: str
+    name: str = "listnet"
     t_smooth: float = 1.0
     mu: float = 10.0
     sigma: float = 1.0

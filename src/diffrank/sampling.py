@@ -40,7 +40,7 @@ from .schedule import ScheduleTable, posterior, strided_table
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    reverse_steps: int
+    reverse_steps: int = 8
     seed: int = 0
     zero_variance: bool = False
 

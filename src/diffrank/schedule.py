@@ -28,8 +28,8 @@ MAX_TIMESTEPS = 10000
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    kind: str
-    timesteps: int
+    kind: str = "trunclinear"
+    timesteps: int = 1000
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:

@@ -41,7 +41,7 @@ _DTYPES = ("float32", "float64")
 class TrainConfig:
     model: ModelConfig
     schedule: ScheduleSpec
-    loss: LossSpec = field(default_factory=lambda: LossSpec(name="mse"))
+    loss: LossSpec = field(default_factory=LossSpec)
     epochs: int = 200
     batch_size: int = 128
     lr: float = 1e-3

@@ -41,8 +41,12 @@ from diffrank.errors import (
 )
 from diffrank.gradcheck import run_all_checks
 from diffrank.letor import cache_read, write_letor
-from diffrank.network import load_checkpoint, save_checkpoint
+from diffrank.losses import LossSpec
+from diffrank.network import ModelConfig, load_checkpoint, save_checkpoint
+from diffrank.sampling import SamplerConfig
+from diffrank.schedule import ScheduleSpec
 from diffrank.synth import make_linear_dataset
+from diffrank.training import TrainConfig
 
 # ---------------------------------------------------------------------------
 # configuration resolution
@@ -58,6 +62,32 @@ def test_default_values_spot_check():
     assert config["cutoffs"] == (1, 3, 5, 10, 20, "ALL")
     assert config["rsd_cutoffs"] == (1, 5, 10, 20)
     assert set(config.values) == set(SCHEMA)
+
+
+def test_schema_keys_are_pinned():
+    # a defaulted field added to a typed config becomes a key; this list
+    # makes that visible in review
+    assert list(SCHEMA) == [
+        "train_cache", "valid_cache", "test_cache", "out_dir",
+        "d_model", "heads", "blocks", "denoise_layers", "dropout", "use_attention",
+        "schedule", "timesteps",
+        "loss", "t_smooth", "mu", "sigma",
+        "epochs", "batch_size", "lr", "beta1", "beta2", "adam_eps", "weight_decay",
+        "eval_every", "eval_reverse_steps", "max_list_size", "seed", "dtype",
+        "reverse_steps", "zero_variance",
+        "cutoffs", "rsd_cutoffs", "repeat",
+    ]
+
+
+def test_defaults_are_the_typed_configs_own():
+    config = resolve_config()
+    assert config.train_config(k=136) == TrainConfig(
+        model=ModelConfig(k=136), schedule=ScheduleSpec(), loss=LossSpec()
+    )
+    assert config.sampler_config() == SamplerConfig()
+    # seed is a field of both TrainConfig and SamplerConfig: one default
+    train_default = TrainConfig(model=ModelConfig(k=1), schedule=ScheduleSpec())
+    assert train_default.seed == SamplerConfig().seed == SCHEMA["seed"][1]
 
 
 @pytest.mark.parametrize(
@@ -140,6 +170,30 @@ def test_unreadable_config_file_exits_3_naming_the_path_once(tmp_path, capsys):
     assert "run.cfg:2" in _one_error(capsys)
 
 
+def test_config_file_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"lr = 0.1\n\xff\xfe = 1\n")
+    assert cli.main(["train", "--config", str(path)]) == 2
+    err = _one_error(capsys)
+    assert "run.cfg:2" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--checkpoint", "absent.ckpt", "--set", "heads=0"],
+        ["infer", "--checkpoint", "absent.ckpt", "--set", "loss=bogus"],
+        ["diversity", "--checkpoint", "absent.ckpt", "--set", "epochs=0"],
+        ["train", "--train-cache", "absent.cache", "--set", "reverse_steps=0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_rejects_a_bad_setting_it_does_not_use(argv, capsys):
+    # exit 2 before any file is read, not 3 for the missing checkpoint or cache
+    assert cli.main(argv) == 2
+    assert argv[-1].partition("=")[0] in _one_error(capsys)
+
+
 def test_boolean_spellings():
     for raw, expected in [("true", True), ("YES", True), ("0", False), ("off", False)]:
         assert resolve_config(overrides=[f"zero_variance={raw}"])["zero_variance"] is expected
@@ -160,12 +214,14 @@ def test_config_file_syntax_errors(tmp_path):
 
 def test_snapshot_round_trips_through_the_parser(tmp_path):
     config = resolve_config(
-        preset="istella", overrides=["lr=0.005", "cutoffs=1,5,ALL", "zero_variance=true"]
+        preset="istella",
+        overrides=["lr=0.005", "cutoffs=1,5,ALL", "zero_variance=true", "out_dir=runs/exp#3"],
     )
     path = tmp_path / "snapshot.cfg"
     path.write_text(config.snapshot_text())
     replayed = resolve_config(config_path=str(path))
     assert replayed.values == config.values
+    assert replayed["out_dir"] == "runs/exp#3"  # a # inside a value is no comment
 
 
 def test_command_flags_layer_on_top_of_set():
@@ -181,13 +237,15 @@ def test_command_flags_layer_on_top_of_set():
 
 
 def test_typed_builders():
-    config = resolve_config(overrides=["d_model=32", "heads=4"])
+    config = resolve_config(overrides=["d_model=32", "heads=4", "dropout=0.2", "seed=7"])
     train_config = config.train_config(k=5)
     assert train_config.model.k == 5
     assert train_config.model.d_model == 32
+    assert train_config.model.dropout_p == 0.2
     assert train_config.schedule.timesteps == 1000
-    with pytest.raises(ConfigError):
-        resolve_config(overrides=["d_model=30", "heads=4"]).model_config(k=5)
+    assert train_config.seed == config.sampler_config().seed == 7
+    with pytest.raises(ConfigError, match="divisible"):
+        resolve_config(overrides=["d_model=30", "heads=4"])
 
 
 # ---------------------------------------------------------------------------
