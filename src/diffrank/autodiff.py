@@ -11,9 +11,12 @@ Conventions:
     ShapeError naming both shapes.
   * softmax normalizes the last axis.
   * backward(loss) requires a single-element tensor and consumes the
-    graph: closures are released as they run, so a graph is traversed
-    exactly once. Gradients accumulate into .grad across separate
-    graphs until the caller resets them.
+    graph: each node's closure, parents and .grad are released as soon
+    as its gradient has passed to its parents, so a graph is traversed
+    exactly once and intermediate gradients never pile up. Only leaves
+    (requires_grad=True and no producing op, such as model parameters)
+    keep .grad, which accumulates across separate graphs until the
+    caller resets it.
 """
 
 from __future__ import annotations
@@ -131,11 +134,16 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
+    # popping drops topo's reference to each node as it runs, so a node's
+    # closure, saved arrays and gradient are freed once its parents hold
+    # that gradient
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node._backward = None
             node._parents = ()
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +431,13 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"layer_norm: affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match input {x.data.shape}"
         )
+    # center once: the variance is the row mean of the squared centered
+    # rows, bit for bit what x.var computes, and xhat scales them in place
     mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     data = gain.data * xhat + bias.data
 
     def back(g):

@@ -167,6 +167,24 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 # train
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_comment() -> str:
+    """The BLAS build and thread settings, which decide the last bits of a
+    trained model, as a config.txt comment line that --config skips."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        name = "unknown"
+    settings = []
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "unset")
+        settings.append(f"{var}={value if value.isprintable() else repr(value)}")
+    return f"# trained with BLAS {name}; {' '.join(settings)}\n"
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolved(
         args,
@@ -178,7 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     snapshot_path = os.path.join(out_dir, "config.txt")
-    _write_text(snapshot_path, config.snapshot_text())
+    _write_text(snapshot_path, _blas_comment() + config.snapshot_text())
     print(
         f"training on {train_ds.num_queries} queries "
         f"({train_ds.num_docs} documents, {train_ds.k} features), "

@@ -13,7 +13,9 @@ Values resolve in precedence order defaults < preset < config file <
 builds every typed config, so every command rejects every bad value.
 
 Config files are plain UTF-8 text, `key = value` per line; `#` starts a
-comment at the start of a line or after whitespace. Environment
+comment at the start of a line or after whitespace, so a string value
+holding a line break, or a `#` at its start or after whitespace, is
+refused wherever it is set: config.txt could not carry it back. Environment
 variables are never consulted.
 """
 
@@ -69,8 +71,28 @@ def _parse_int_cutoffs(text: str) -> tuple:
     return cutoffs
 
 
-def _identity(text: str) -> str:
-    return text.strip()
+# a comment starts at the start of a line or after whitespace, never
+# inside a value such as runs/exp#3
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _parse_str(text: str) -> str:
+    """A string value, refused when config.txt could not carry it back."""
+    value = text.strip()
+    if "\n" in value or "\r" in value:
+        raise ConfigError(
+            f"{value!r} holds a line break, which would end its config file line"
+        )
+    if _COMMENT.search(value):
+        raise ConfigError(
+            f"{value!r} holds a '#' at its start or after whitespace, "
+            "which would start a config file comment"
+        )
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{value!r} is not UTF-8 text, as config files are") from None
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -90,7 +112,7 @@ def _parse_float(text: str) -> float:
     return value
 
 
-_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": _identity}
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": _parse_str}
 
 # field -> key where the two differ
 _RENAMED = {"dropout_p": "dropout", "kind": "schedule", "name": "loss"}
@@ -105,10 +127,10 @@ def _owned(cls) -> list:
 # configuration; presets below override the dataset-specific rows.
 SCHEMA: dict = {
     # artifact paths
-    "train_cache": (_identity, ""),
-    "valid_cache": (_identity, ""),
-    "test_cache": (_identity, ""),
-    "out_dir": (_identity, "diffrank_out"),
+    "train_cache": (_parse_str, ""),
+    "valid_cache": (_parse_str, ""),
+    "test_cache": (_parse_str, ""),
+    "out_dir": (_parse_str, "diffrank_out"),
     # every defaulted field of the typed configs
     **{
         key: (_PARSERS[f.type], f.default)
@@ -194,11 +216,6 @@ def _assign(values: dict, key: str, raw: str, origin: str) -> None:
         values[key] = parser(raw)
     except ConfigError as e:
         raise ConfigError(f"bad value for {key!r} ({origin}): {e}") from e
-
-
-# a comment starts at the start of a line or after whitespace, never
-# inside a value such as runs/exp#3
-_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_file(path: str) -> dict[str, str]:

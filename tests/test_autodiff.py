@@ -8,6 +8,7 @@ engine's own backward pass.
 import ast
 import inspect
 import math
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -410,6 +411,20 @@ def test_layer_norm_gradient_matches_finite_differences(rng):
     assert worst < TOL
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (40, 64), (1620, 64)])
+def test_layer_norm_matches_the_var_form_bit_for_bit(rng, dtype, shape):
+    x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+    gain = rng.standard_normal((1, shape[1])).astype(dtype)
+    bias = rng.standard_normal((1, shape[1])).astype(dtype)
+    mu = x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+    expected = gain * ((x - mu) * inv) + bias
+    out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias)).data
+    assert out.dtype == np.dtype(dtype)
+    assert np.array_equal(out, expected)
+
+
 def test_composed_three_layer_network_gradient(rng):
     """softplus MLP into softmax, checked end to end against FD."""
     n, k, h = 3, 4, 6
@@ -446,3 +461,25 @@ def test_gradients_accumulate_across_graphs(rng):
 
 def test_relative_error_uses_unit_floor():
     assert relative_error(np.array([1e-6]), np.array([0.0])) == pytest.approx(1e-6)
+
+
+def test_backward_frees_the_graph_as_it_walks(rng):
+    """A chain of 20 softplus nodes with only the loss referenced: backward
+    holds a few arrays at a time, not one gradient per node."""
+    tracemalloc.start()
+    try:
+        x = _leaf(rng.standard_normal((256, 256)))
+        y = x
+        for _ in range(20):
+            y = ad.softplus(y)
+        loss = ad.tensor_sum(y)
+        del y
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 4 * x.data.nbytes
+    assert x.grad is not None and x.grad.shape == x.data.shape
+    assert np.all(np.isfinite(x.grad)) and np.all(x.grad > 0)

@@ -24,6 +24,7 @@ from diffrank import cli
 from diffrank.config import (
     PRESETS,
     SCHEMA,
+    RunConfig,
     parse_config_file,
     resolve_config,
 )
@@ -222,6 +223,47 @@ def test_snapshot_round_trips_through_the_parser(tmp_path):
     replayed = resolve_config(config_path=str(path))
     assert replayed.values == config.values
     assert replayed["out_dir"] == "runs/exp#3"  # a # inside a value is no comment
+
+
+# characters at the edges of the config file syntax, plus any character
+_VALUE_CHARS = st.sampled_from("a/=# \t\n\r\x0b\x85\u2028\udcff") | st.characters()
+
+
+@given(value=st.text(alphabet=_VALUE_CHARS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_a_string_value_reads_back_from_the_snapshot_or_is_refused(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "string-value.cfg"
+    try:
+        config = resolve_config(overrides=[f"out_dir={value}"])
+    except ConfigError:
+        # refused only when the snapshot could not carry the value back
+        unchecked = RunConfig({**resolve_config().values, "out_dir": value.strip()})
+        try:
+            path.write_text(unchecked.snapshot_text(), encoding="utf-8")
+            replayed = parse_config_file(str(path)).get("out_dir")
+        except (UnicodeEncodeError, ConfigError):
+            return
+        assert replayed != value.strip()
+        return
+    path.write_text(config.snapshot_text(), encoding="utf-8")
+    assert resolve_config(config_path=str(path)).values == config.values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--set", "out_dir=runs/exp #3"],
+        ["--out-dir", "runs/exp #3"],
+        ["--set", "train_cache=#train.cache"],
+        ["--set", "out_dir=runs/a\nb"],
+    ],
+    ids=["set-comment", "flag-comment", "leading-hash", "line-break"],
+)
+def test_string_value_config_txt_cannot_carry_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", *argv]) == 2
+    assert "config file" in _one_error(capsys)
+    assert not any(tmp_path.iterdir())  # refused before any directory is made
 
 
 def test_command_flags_layer_on_top_of_set():
@@ -465,6 +507,21 @@ def test_train_writes_config_snapshot_and_log(workspace):
     assert snapshot["timesteps"] == 24
     assert snapshot["seed"] == 3
     assert snapshot["epochs"] == 6
+
+
+def test_config_snapshot_records_the_blas_settings_in_a_comment(workspace, monkeypatch):
+    first = (workspace["run"] / "config.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert first == cli._blas_comment().rstrip("\n")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert first.startswith(f"# trained with BLAS {blas['name']} {blas['version']}; ")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1\n2")
+    line = cli._blas_comment()
+    assert line.endswith(
+        "; OPENBLAS_NUM_THREADS='1\\n2' OMP_NUM_THREADS=3 MKL_NUM_THREADS=unset\n"
+    )
+    assert line.count("\n") == 1
 
 
 def test_snapshot_replay_reproduces_checkpoint_bytes(workspace, tmp_path):
