@@ -5,6 +5,8 @@ Each class carries the process exit code the CLI returns for it in
 raise the most specific class that applies.
 """
 
+import numbers
+
 
 class DiffrankError(Exception):
     """Base class for all package-specific errors."""
@@ -16,6 +18,16 @@ class ConfigError(DiffrankError):
     """Bad run configuration: unknown key, wrong type, invalid value."""
 
     exit_code = 2
+
+
+def require_integers(config, names) -> None:
+    """Raise ConfigError unless each named field of a frozen dataclass is an
+    integer (bools excluded); store each as a plain int."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 class DataError(DiffrankError):

@@ -300,26 +300,6 @@ def model_gradient_checks(seed: int = 0, n_directions: int = 8) -> list[CheckRes
     return results
 
 
-def schedule_invariant_checks() -> list[CheckResult]:
-    """Structural residuals for every schedule family at production sizes."""
-    from .schedule import SCHEDULE_KINDS, ScheduleSpec, build_schedule
-
-    results = []
-    for kind in SCHEDULE_KINDS:
-        for timesteps in (200, 600, 1000):
-            name = f"schedule.{kind}.T{timesteps}"
-            try:
-                table = build_schedule(ScheduleSpec(kind=kind, timesteps=timesteps))
-                table.validate()
-                residual = float(
-                    np.max(np.abs(np.cumprod(1.0 - table.beta) - table.alpha_bar))
-                )
-            except Exception:
-                residual = float("inf")
-            results.append(CheckResult(name=name, worst=residual, tol=1e-12))
-    return results
-
-
 def run_all_checks(
     seed: int = 0,
     op_trials: int = 5,
@@ -331,5 +311,4 @@ def run_all_checks(
     results.extend(op_gradient_checks(seed=seed, trials=op_trials))
     results.extend(loss_gradient_checks(seed=seed, trials=loss_trials))
     results.extend(model_gradient_checks(seed=seed, n_directions=model_directions))
-    results.extend(schedule_invariant_checks())
     return results

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -45,10 +44,12 @@ from .errors import (
     DataError,
     IncompatibilityError,
     ShapeError,
+    require_integers,
 )
 from .letor import MAX_LABEL
 from .schedule import ScheduleSpec
 
+DTYPES = ("float32", "float64")
 _CKPT_MAGIC = b"DRCKPTF\x00"
 _CKPT_VERSION = 3
 _CKPT_HEADER_KEYS = ("model", "schedule", "dtype", "params")
@@ -65,11 +66,7 @@ class ModelConfig:
     use_attention: bool = True
 
     def __post_init__(self):
-        for name in ("k", "d_model", "heads", "blocks", "denoise_layers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        require_integers(self, ("k", "d_model", "heads", "blocks", "denoise_layers"))
         if self.k < 1:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.d_model < 1:
@@ -391,9 +388,9 @@ def load_checkpoint(path: str) -> DenoiseModel:
             f"checkpoint {path} header does not describe a model this reader "
             f"can build: {e}"
         ) from e
-    if not np.issubdtype(dtype, np.floating):
+    if dtype.name not in DTYPES:
         raise IncompatibilityError(
-            f"checkpoint {path} stores {dtype.name} parameters, expected floats"
+            f"checkpoint {path} stores {dtype.name} parameters, expected one of {DTYPES}"
         )
     params: dict[str, Tensor] = {}
     for name, shape in _manifest(header["params"], _param_shapes(config), path):

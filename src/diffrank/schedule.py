@@ -1,9 +1,9 @@
 """Noise schedules and the forward / reverse Gaussian process arithmetic.
 
 A schedule is a table over discrete steps t = 1..T holding the per-step
-noise variance beta_t, alpha_t = 1 - beta_t, the running product
-alpha_bar_t, and the reverse-step posterior variance beta_tilde_t.
-alpha_bar(0) is defined as 1 (no noise).
+noise variance beta_t, the running product alpha_bar_t of 1 - beta_t and
+the reverse-step posterior variance beta_tilde_t, each computed once, in
+`_finalize`. alpha_bar(0) is defined as 1 (no noise).
 
 All four kinds are, after derivation of a raw beta series, clipped to
 [1e-8, 0.999] and re-accumulated, which keeps every invariant
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 
 BETA_MIN = 1e-8
 BETA_MAX = 0.999
@@ -36,6 +36,7 @@ class ScheduleSpec:
             raise ConfigError(
                 f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}"
             )
+        require_integers(self, ("timesteps",))
         if not 1 <= self.timesteps <= MAX_TIMESTEPS:
             raise ConfigError(
                 f"timesteps must lie in [1, {MAX_TIMESTEPS}], got {self.timesteps}"
@@ -49,7 +50,6 @@ class ScheduleTable:
     kind: str
     timesteps: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
     beta_tilde: np.ndarray
 
@@ -65,7 +65,7 @@ class ScheduleTable:
 
     def alpha_at(self, t: int) -> float:
         self._check_t(t)
-        return float(self.alpha[t - 1])
+        return 1.0 - float(self.beta[t - 1])
 
     def alpha_bar_at(self, t: int) -> float:
         if t == 0:
@@ -85,9 +85,6 @@ class ScheduleTable:
         for every kind.
         """
         T = self.timesteps
-        arrays = (self.beta, self.alpha, self.alpha_bar, self.beta_tilde)
-        if any(a.shape != (T,) for a in arrays):
-            raise ConfigError("schedule arrays must all have length T")
         if not np.all(np.isfinite(self.beta)):
             raise ConfigError("schedule produced non-finite beta values")
         if np.any(self.beta <= 0.0) or np.any(self.beta >= 1.0):
@@ -103,10 +100,6 @@ class ScheduleTable:
                 f"terminal alpha_bar {self.alpha_bar[-1]:.6g} is not below "
                 f"{TERMINAL_ALPHA_BAR}; labels would keep signal at t = T"
             )
-        if T >= 2:
-            expect = (1.0 - self.alpha_bar[:-1]) / (1.0 - self.alpha_bar[1:]) * self.beta[1:]
-            if not np.allclose(self.beta_tilde[1:], expect, rtol=0, atol=1e-12):
-                raise ConfigError("beta_tilde contradicts its defining formula")
 
 
 def _linear_betas(T: int) -> np.ndarray:
@@ -163,8 +156,7 @@ def _finalize(
     kind: str, betas: np.ndarray, require_terminal: bool | None = None
 ) -> ScheduleTable:
     beta = np.asarray(betas, dtype=np.float64)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
+    alpha_bar = np.cumprod(1.0 - beta)
     beta_tilde = np.empty_like(beta)
     beta_tilde[0] = 0.0
     if beta.size >= 2:
@@ -173,11 +165,10 @@ def _finalize(
         kind=kind,
         timesteps=int(beta.size),
         beta=beta,
-        alpha=alpha,
         alpha_bar=alpha_bar,
         beta_tilde=beta_tilde,
     )
-    for arr in (table.beta, table.alpha, table.alpha_bar, table.beta_tilde):
+    for arr in (table.beta, table.alpha_bar, table.beta_tilde):
         arr.setflags(write=False)
     table.validate(require_terminal=require_terminal)
     return table
@@ -224,7 +215,6 @@ def posterior(
     """Mean and (scalar, isotropic) variance of the reverse step t -> t-1."""
     if t < 2:
         raise ValueError(f"posterior requires t >= 2, got t = {t}")
-    table._check_t(t)
     y_t = np.asarray(y_t, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     ab_t = table.alpha_bar_at(t)

@@ -30,11 +30,9 @@ from .errors import ConfigError, IncompatibilityError, NumericError, ShapeError
 from .letor import Dataset, QueryGroup
 from .losses import LossSpec, ranking_loss
 from .metrics import evaluate_rankings, ranking_order
-from .network import DenoiseModel, ModelConfig, save_checkpoint
+from .network import DTYPES, DenoiseModel, ModelConfig, save_checkpoint
 from .sampling import SamplerConfig, rank_split
 from .schedule import ScheduleSpec, ScheduleTable, build_schedule, q_sample
-
-_DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class TrainConfig:
             )
         if self.max_list_size < 1:
             raise ConfigError(f"max_list_size must be >= 1, got {self.max_list_size}")
-        if self.dtype not in _DTYPES:
-            raise ConfigError(f"dtype must be one of {_DTYPES}, got {self.dtype!r}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
 
 class AdamW:

@@ -102,14 +102,13 @@ def test_criterion_01_gradient_integrity():
     start = time.perf_counter()
     results = run_all_checks(op_trials=20, loss_trials=20, model_directions=20)
     elapsed = time.perf_counter() - start
-    gradient_results = [r for r in results if not r.name.startswith("schedule.")]
-    failed = [(r.name, r.worst) for r in gradient_results if not r.passed]
-    worst = max(r.worst for r in gradient_results)
+    failed = [(r.name, r.worst) for r in results if not r.passed]
+    worst = max(r.worst for r in results)
     assert not failed, f"finite-difference mismatches: {failed}"
     assert worst < 1e-4  # stated tolerance: max relative error < 1e-4
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s (budget 120s)"
     print(
-        f"PASS criterion 1: {len(gradient_results)} checks x 20 instances, "
+        f"PASS criterion 1: {len(results)} checks x 20 instances, "
         f"worst rel err {worst:.2e} < 1e-4, {elapsed:.1f}s < 120s"
     )
 

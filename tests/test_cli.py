@@ -43,7 +43,7 @@ from diffrank.errors import (
 from diffrank.gradcheck import run_all_checks
 from diffrank.letor import cache_read, write_letor
 from diffrank.losses import LossSpec
-from diffrank.network import ModelConfig, load_checkpoint, save_checkpoint
+from diffrank.network import DenoiseModel, ModelConfig, load_checkpoint, save_checkpoint
 from diffrank.sampling import SamplerConfig
 from diffrank.schedule import ScheduleSpec
 from diffrank.synth import make_linear_dataset
@@ -597,6 +597,20 @@ def test_non_finite_checkpoint_parameter_exits_3(workspace, tmp_path, capsys):
     assert "den0.b" in capsys.readouterr().err
 
 
+def test_checkpoint_in_a_dtype_train_cannot_write_exits_3(workspace, tmp_path, capsys):
+    model = load_checkpoint(str(workspace["checkpoint"]))
+    half = tmp_path / "half.ckpt"
+    save_checkpoint(DenoiseModel(model.config, model.schedule, dtype="float16"), str(half))
+    code = cli.main([
+        "evaluate",
+        "--checkpoint", str(half),
+        "--test-cache", str(workspace["test_cache"]),
+        "--out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 3
+    assert "float16" in _one_error(capsys)
+
+
 def _v1_cache(k: int) -> bytes:
     """A one-document cache in the retired version-1 layout."""
     return (
@@ -716,8 +730,20 @@ def _rewrite_checkpoint_header(src, dst, edit, keep_blobs=True):
         (lambda h: h["model"].update(d_model=16.0), True, "integer"),
         (lambda h: h.update(params=[]), False, "0 entries"),
         (lambda h: h["params"][0].update(shape=[2, 2]), True, "implies"),
+        (
+            lambda h: h["schedule"].update(timesteps=float(h["schedule"]["timesteps"])),
+            True,
+            "timesteps must be an integer",
+        ),
     ],
-    ids=["no-model", "unknown-model-key", "float-width", "empty-manifest", "wrong-shape"],
+    ids=[
+        "no-model",
+        "unknown-model-key",
+        "float-width",
+        "empty-manifest",
+        "wrong-shape",
+        "float-timesteps",
+    ],
 )
 def test_malformed_checkpoint_header_exits_3(
     workspace, tmp_path, capsys, edit, keep_blobs, fragment
@@ -731,7 +757,7 @@ def test_malformed_checkpoint_header_exits_3(
         "--out", str(tmp_path / "rankings.csv"),
     ])
     assert code == 3
-    assert fragment in capsys.readouterr().err
+    assert fragment in _one_error(capsys)
 
 
 def _diversity(workspace, out_path, extra=()):

@@ -47,9 +47,21 @@ class TestConstruction:
             t.beta[0] = 0.5
 
     def test_beta_tilde_hand_formula_at_t2(self):
-        t = _table("trunclinear", 400)
-        expect = (1 - t.alpha_bar_at(1)) / (1 - t.alpha_bar_at(2)) * t.beta_at(2)
-        assert t.beta_tilde_at(2) == pytest.approx(expect, abs=1e-15)
+        # the identities that define the stored quantities hold exactly,
+        # from the first reverse step t = 2 up to t = T
+        for kind in sc.SCHEDULE_KINDS:
+            for T in (2, 200, 1000):
+                t = _table(kind, T)
+                for step in range(2, T + 1):
+                    expect = (
+                        (1 - t.alpha_bar_at(step - 1))
+                        / (1 - t.alpha_bar_at(step))
+                        * t.beta_at(step)
+                    )
+                    assert t.beta_tilde_at(step) == expect, (kind, T, step)
+                for step in range(1, T + 1):
+                    assert t.alpha_at(step) == 1.0 - t.beta_at(step), (kind, T, step)
+                assert np.array_equal(t.alpha_bar, np.cumprod(1.0 - t.beta)), (kind, T)
 
 
 @pytest.mark.parametrize("kind", sc.SCHEDULE_KINDS)
