@@ -521,19 +521,18 @@ def attention(q, k, v, segments, heads: int) -> Tensor:
     return _result(data, (q, k, v), back)
 
 
-def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: kept entries are scaled by 1/(1-p) during training.
+def dropout(x, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: entries are kept with probability 1 - p, drawn
+    from rng, and scaled by 1/(1-p).
 
-    With p = 0 or training disabled this is the identity and returns the
+    With p = 0 or no rng (inference) this is the identity and returns the
     input tensor unchanged.
     """
     x = _as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout: p must lie in [0, 1), got {p}")
-    if p == 0.0 or not training:
+    if p == 0.0 or rng is None:
         return x
-    if rng is None:
-        raise ValueError("dropout: an rng is required when training with p > 0")
     keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
     keep *= 1.0 / (1.0 - p)
     data = x.data * keep

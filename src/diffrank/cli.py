@@ -431,8 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a floating-point fault ends as the typed error of the check that meets
+    # its non-finite value, with no numpy warnings printed before it
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DiffrankError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

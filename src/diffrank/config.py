@@ -186,6 +186,7 @@ class RunConfig:
             model=self._build(ModelConfig, k=k),
             schedule=self._build(ScheduleSpec),
             loss=self._build(LossSpec),
+            sampler=self.sampler_config(),
         )
 
     def sampler_config(self) -> SamplerConfig:
@@ -269,5 +270,4 @@ def resolve_config(
     config = RunConfig(values=values)
     # every command checks every typed setting, used or not
     config.train_config(k=1)
-    config.sampler_config()
     return config

@@ -169,6 +169,8 @@ class DenoiseModel:
         self.config = config
         self.schedule = schedule
         self.dtype = np.dtype(dtype)
+        if self.dtype.name not in DTYPES:
+            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype.name!r}")
         self.params = params if params is not None else self._init_params(seed)
 
     # -- parameters ---------------------------------------------------------
@@ -209,13 +211,13 @@ class DenoiseModel:
         self,
         features: np.ndarray,
         segments=None,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Context vectors for the documents of one or more queries.
 
         features stacks the queries' (n_i, k) matrices and segments lists
-        the n_i; None makes all rows one query.
+        the n_i; None makes all rows one query. Dropout draws its masks
+        from rng when one is given (training) and is off without one.
         """
         cfg = self.config
         feats = self._cast(features)
@@ -230,13 +232,13 @@ class DenoiseModel:
             if cfg.use_attention:
                 h = ad.layer_norm(x, self._p(f"enc{i}.ln1.g"), self._p(f"enc{i}.ln1.b"))
                 att = self._attention(i, h, lengths)
-                att = ad.dropout(att, p, training, rng)
+                att = ad.dropout(att, p, rng)
                 x = ad.add(x, att)
             h = ad.layer_norm(x, self._p(f"enc{i}.ln2.g"), self._p(f"enc{i}.ln2.b"))
             f = ad.linear(h, self._p(f"enc{i}.ffn.l1.w"), self._p(f"enc{i}.ffn.l1.b"))
             f = ad.softplus(f)
             f = ad.linear(f, self._p(f"enc{i}.ffn.l2.w"), self._p(f"enc{i}.ffn.l2.b"))
-            f = ad.dropout(f, p, training, rng)
+            f = ad.dropout(f, p, rng)
             x = ad.add(x, f)
         return ad.layer_norm(x, self._p("enc_out.ln.g"), self._p("enc_out.ln.b"))
 
@@ -258,7 +260,6 @@ class DenoiseModel:
         y_t: np.ndarray,
         t,
         segments=None,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Predicted clean labels, shape (rows, 1).
@@ -287,9 +288,9 @@ class DenoiseModel:
             z = ad.linear(x, self._p(f"den{j}.w"), self._p(f"den{j}.b"))
             if j == 0:
                 z = ad.add(z, ad.matmul(Tensor(y_col), self._p("den0.label.w")))
-            x = ad.mul(ad.dropout(ad.softplus(z), p, training, rng), temb)
+            x = ad.mul(ad.dropout(ad.softplus(z), p, rng), temb)
         z = ad.linear(x, self._p(f"den{last}.w"), self._p(f"den{last}.b"))
-        weights = ad.softmax(ad.dropout(ad.softplus(z), p, training, rng))
+        weights = ad.softmax(ad.dropout(ad.softplus(z), p, rng))
         grades = Tensor(np.arange(MAX_LABEL + 1, dtype=self.dtype).reshape(-1, 1))
         return ad.matmul(weights, grades)
 
@@ -299,11 +300,10 @@ class DenoiseModel:
         y_t: np.ndarray,
         t,
         segments=None,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        context = self.encode(features, segments, training=training, rng=rng)
-        return self.denoise(context, y_t, t, segments, training=training, rng=rng)
+        context = self.encode(features, segments, rng=rng)
+        return self.denoise(context, y_t, t, segments, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ All four kinds are, after derivation of a raw beta series, clipped to
 [1e-8, 0.999] and re-accumulated, which keeps every invariant
 (beta strictly inside (0, 1), alpha_bar strictly decreasing) intact even
 at the final step where the raw formulas collapse to 0 or below.
+build_schedule also requires a table of T >= 200 steps to end almost
+fully noised (shorter tables cannot for every kind); strided_table
+checks only the structural invariants, since its visited steps need not
+reach T.
 """
 
 from __future__ import annotations
@@ -77,14 +81,8 @@ class ScheduleTable:
         self._check_t(t, low=2)
         return float(self.beta_tilde[t - 1])
 
-    def validate(self, require_terminal: bool | None = None) -> None:
-        """Raise ConfigError if any structural invariant is violated.
-
-        The terminal noise requirement (alpha_bar_T < 0.01) applies by
-        default only when T >= 200; very short tables cannot reach it
-        for every kind.
-        """
-        T = self.timesteps
+    def validate(self) -> None:
+        """Raise ConfigError if any structural invariant is violated."""
         if not np.all(np.isfinite(self.beta)):
             raise ConfigError("schedule produced non-finite beta values")
         if np.any(self.beta <= 0.0) or np.any(self.beta >= 1.0):
@@ -93,13 +91,6 @@ class ScheduleTable:
             raise ConfigError("alpha_bar must be strictly decreasing from below 1")
         if np.any(self.alpha_bar <= 0.0):
             raise ConfigError("alpha_bar must stay strictly positive")
-        if require_terminal is None:
-            require_terminal = T >= 200
-        if require_terminal and self.alpha_bar[-1] >= TERMINAL_ALPHA_BAR:
-            raise ConfigError(
-                f"terminal alpha_bar {self.alpha_bar[-1]:.6g} is not below "
-                f"{TERMINAL_ALPHA_BAR}; labels would keep signal at t = T"
-            )
 
 
 def _linear_betas(T: int) -> np.ndarray:
@@ -152,9 +143,7 @@ _BUILDERS = {
 SCHEDULE_KINDS = tuple(_BUILDERS)
 
 
-def _finalize(
-    kind: str, betas: np.ndarray, require_terminal: bool | None = None
-) -> ScheduleTable:
+def _finalize(kind: str, betas: np.ndarray) -> ScheduleTable:
     beta = np.asarray(betas, dtype=np.float64)
     alpha_bar = np.cumprod(1.0 - beta)
     beta_tilde = np.empty_like(beta)
@@ -170,13 +159,21 @@ def _finalize(
     )
     for arr in (table.beta, table.alpha_bar, table.beta_tilde):
         arr.setflags(write=False)
-    table.validate(require_terminal=require_terminal)
+    table.validate()
     return table
 
 
 def build_schedule(spec: ScheduleSpec) -> ScheduleTable:
+    """The validated table of a (kind, T); from T = 200 on, alpha_bar_T
+    must also lie below TERMINAL_ALPHA_BAR."""
     betas = _BUILDERS[spec.kind](spec.timesteps)
-    return _finalize(spec.kind, np.clip(betas, BETA_MIN, BETA_MAX))
+    table = _finalize(spec.kind, np.clip(betas, BETA_MIN, BETA_MAX))
+    if spec.timesteps >= 200 and table.alpha_bar[-1] >= TERMINAL_ALPHA_BAR:
+        raise ConfigError(
+            f"terminal alpha_bar {table.alpha_bar[-1]:.6g} is not below "
+            f"{TERMINAL_ALPHA_BAR}; labels would keep signal at t = T"
+        )
+    return table
 
 
 def strided_table(table: ScheduleTable, visited: list[int]) -> ScheduleTable:
@@ -195,7 +192,7 @@ def strided_table(table: ScheduleTable, visited: list[int]) -> ScheduleTable:
     # 1 - ratio is not representable in float64 (ratio < ~1e-16), where the
     # posterior coefficients are insensitive to it.
     betas = np.minimum(betas, 1.0 - 1e-12)
-    return _finalize(table.kind, betas, require_terminal=False)
+    return _finalize(table.kind, betas)
 
 
 def q_sample(y0: np.ndarray, t: int, eps: np.ndarray, table: ScheduleTable) -> np.ndarray:

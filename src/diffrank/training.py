@@ -6,13 +6,15 @@ with fresh Gaussian noise, the model predicts the clean labels from the
 documents plus the noisy labels, and the configured ranking loss scores
 the prediction. The lists run through the model as one packed graph,
 their documents stacked into one matrix, so each layer runs once per
-batch. The batch loss is the mean of the per-list losses, and AdamW
-(decoupled weight decay) applies the update.
+batch, and dropout draws its masks from the step generator. The batch
+loss is the mean of the per-list losses, and AdamW (decoupled weight
+decay) applies the update.
 
 fit() runs the epoch loop: shuffled query batches, periodic validation
 by actually running the reverse-process ranker on the validation split
-and measuring NDCG@10, best-checkpoint retention, and a line-delimited
-JSON training log.
+with the run's SamplerConfig (reverse_steps capped at T) and measuring
+NDCG@10, best-checkpoint retention, and a line-delimited JSON training
+log.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +42,7 @@ class TrainConfig:
     model: ModelConfig
     schedule: ScheduleSpec
     loss: LossSpec = field(default_factory=LossSpec)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     epochs: int = 200
     batch_size: int = 128
     lr: float = 1e-3
@@ -48,7 +51,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
     eval_every: int = 10
-    eval_reverse_steps: int = 8
     max_list_size: int = 512
     seed: int = 0
     dtype: str = "float32"
@@ -70,10 +72,6 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.eval_reverse_steps < 1:
-            raise ConfigError(
-                f"eval_reverse_steps must be >= 1, got {self.eval_reverse_steps}"
-            )
         if self.max_list_size < 1:
             raise ConfigError(f"max_list_size must be >= 1, got {self.max_list_size}")
         if self.dtype not in DTYPES:
@@ -205,7 +203,6 @@ def train_step(batch: list[QueryGroup], state: TrainState, config: TrainConfig) 
         np.concatenate(noisy),
         t=np.array(steps),
         segments=lengths,
-        training=True,
         rng=state.rng,
     )
     total = None
@@ -228,10 +225,10 @@ def _validate_ndcg10(
     model: DenoiseModel,
     valid: Dataset,
     table: ScheduleTable,
-    reverse_steps: int,
+    sampler: SamplerConfig,
     seed_seq: np.random.SeedSequence,
 ) -> float:
-    cfg = SamplerConfig(reverse_steps=min(reverse_steps, table.timesteps))
+    cfg = replace(sampler, reverse_steps=min(sampler.reverse_steps, table.timesteps))
     scores = rank_split(model, valid.groups, table, cfg, seed_seq=seed_seq)
     report = evaluate_rankings(
         [g.labels() for g in valid.groups],
@@ -276,7 +273,7 @@ def fit(
                 state.model,
                 valid,
                 state.table,
-                config.eval_reverse_steps,
+                config.sampler,
                 eval_ss.spawn(1)[0],
             )
             entry["valid_ndcg10"] = metric

@@ -76,7 +76,6 @@ def overfit_run(tmp_path_factory):
         batch_size=128,
         lr=1e-3,
         eval_every=10,
-        eval_reverse_steps=8,
         seed=0,
         dtype="float32",
     )
@@ -480,7 +479,6 @@ def test_criterion_08_attention_ablation(tmp_path):
             batch_size=128,
             lr=1e-3,
             eval_every=20,
-            eval_reverse_steps=8,
             seed=0,
             dtype="float32",
         )
@@ -543,7 +541,6 @@ def test_criterion_09_real_data_subset(tmp_path):
         batch_size=128,
         lr=1e-3,
         eval_every=5,
-        eval_reverse_steps=8,
         seed=0,
         dtype="float32",
     )
@@ -592,7 +589,7 @@ def test_criterion_10_reproducible_artifacts(tmp_path):
         "--set", "timesteps=16", "--set", "d_model=16", "--set", "heads=2",
         "--set", "blocks=1", "--set", "denoise_layers=2", "--set", "dropout=0.0",
         "--set", "loss=mse", "--set", "epochs=3", "--set", "eval_every=3",
-        "--set", "eval_reverse_steps=2", "--set", "batch_size=4",
+        "--set", "reverse_steps=2", "--set", "batch_size=4",
         "--set", "dtype=float64", "--set", "seed=9",
     ]
 

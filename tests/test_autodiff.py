@@ -130,23 +130,23 @@ class TestErrors:
 
     def test_dropout_rejects_bad_probability(self):
         with pytest.raises(DomainError):
-            ad.dropout(ad.Tensor([1.0]), 1.0, True, np.random.default_rng(0))
+            ad.dropout(ad.Tensor([1.0]), 1.0, np.random.default_rng(0))
 
 
 class TestDropout:
     def test_p_zero_is_identity_bitwise(self, rng):
         x = ad.Tensor(rng.standard_normal((5, 3)))
-        out = ad.dropout(x, 0.0, True, rng)
+        out = ad.dropout(x, 0.0, rng)
         assert out is x
 
     def test_eval_mode_is_identity(self, rng):
         x = ad.Tensor(rng.standard_normal((5, 3)))
-        assert ad.dropout(x, 0.5, False) is x
+        assert ad.dropout(x, 0.5) is x
 
     def test_training_keeps_expected_scale(self):
         rng = np.random.default_rng(7)
         x = ad.Tensor(np.ones((200, 50)))
-        out = ad.dropout(x, 0.3, True, rng)
+        out = ad.dropout(x, 0.3, rng)
         kept = out.data != 0
         assert abs(kept.mean() - 0.7) < 0.02
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.7)
@@ -154,7 +154,7 @@ class TestDropout:
     def test_gradient_follows_mask(self):
         rng = np.random.default_rng(3)
         x = _leaf(np.ones((10, 10)))
-        out = ad.dropout(x, 0.4, True, rng)
+        out = ad.dropout(x, 0.4, rng)
         mask = (out.data != 0).astype(float)
         ad.backward(ad.tensor_sum(out))
         np.testing.assert_allclose(x.grad, mask / 0.6, atol=1e-12)

@@ -13,6 +13,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffrank import autodiff as ad
-from diffrank import cli
+from diffrank import cli, network
 from diffrank.config import (
     PRESETS,
     SCHEMA,
@@ -74,7 +75,7 @@ def test_schema_keys_are_pinned():
         "schedule", "timesteps",
         "loss", "t_smooth", "mu", "sigma",
         "epochs", "batch_size", "lr", "beta1", "beta2", "adam_eps", "weight_decay",
-        "eval_every", "eval_reverse_steps", "max_list_size", "seed", "dtype",
+        "eval_every", "max_list_size", "seed", "dtype",
         "reverse_steps", "zero_variance",
         "cutoffs", "rsd_cutoffs", "repeat",
     ]
@@ -305,7 +306,7 @@ TRAIN_SETTINGS = [
     "--set", "loss=mse",
     "--set", "epochs=6",
     "--set", "eval_every=3",
-    "--set", "eval_reverse_steps=3",
+    "--set", "reverse_steps=3",
     "--set", "batch_size=4",
     "--set", "dtype=float64",
     "--set", "seed=3",
@@ -597,10 +598,15 @@ def test_non_finite_checkpoint_parameter_exits_3(workspace, tmp_path, capsys):
     assert "den0.b" in capsys.readouterr().err
 
 
-def test_checkpoint_in_a_dtype_train_cannot_write_exits_3(workspace, tmp_path, capsys):
+def test_checkpoint_in_a_dtype_train_cannot_write_exits_3(
+    workspace, tmp_path, capsys, monkeypatch
+):
     model = load_checkpoint(str(workspace["checkpoint"]))
     half = tmp_path / "half.ckpt"
-    save_checkpoint(DenoiseModel(model.config, model.schedule, dtype="float16"), str(half))
+    # the library refuses to build a float16 model, so admit it while saving
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "DTYPES", network.DTYPES + ("float16",))
+        save_checkpoint(DenoiseModel(model.config, model.schedule, dtype="float16"), str(half))
     code = cli.main([
         "evaluate",
         "--checkpoint", str(half),
@@ -609,6 +615,24 @@ def test_checkpoint_in_a_dtype_train_cannot_write_exits_3(workspace, tmp_path, c
     ])
     assert code == 3
     assert "float16" in _one_error(capsys)
+
+
+def test_floating_point_fault_ends_as_one_error_line(workspace, tmp_path, capsys):
+    # lr=1e300 overflows the first AdamW step; numpy would warn in AdamW and
+    # matmul before the loss check raises
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([
+            "train",
+            "--train-cache", str(workspace["caches"] / "train.cache"),
+            "--valid-cache", str(workspace["caches"] / "valid.cache"),
+            "--out-dir", str(tmp_path / "run"),
+            *TRAIN_SETTINGS,
+            "--set", "lr=1e300",
+        ])
+    assert code == 4
+    assert [str(w.message) for w in caught] == []
+    assert "non-finite" in _one_error(capsys)
 
 
 def _v1_cache(k: int) -> bytes:
@@ -943,13 +967,12 @@ def test_corrupted_artifact_ends_as_typed_error(workspace, artifact, reader, mut
         readable = True
     except DiffrankError:
         readable = False
-    with np.errstate(all="ignore"):
-        code = cli.main([
-            "evaluate",
-            "--checkpoint", str(paths["checkpoint"]),
-            "--test-cache", str(paths["test_cache"]),
-            "--out", str(workspace["root"] / "fuzzed.csv"),
-            "--set", "reverse_steps=2",
-        ])
+    code = cli.main([
+        "evaluate",
+        "--checkpoint", str(paths["checkpoint"]),
+        "--test-cache", str(paths["test_cache"]),
+        "--out", str(workspace["root"] / "fuzzed.csv"),
+        "--set", "reverse_steps=2",
+    ])
     # a flip can leave a readable artifact whose values overflow: exit 4
     assert code in ((0, 4) if readable else (3,))

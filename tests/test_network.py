@@ -148,17 +148,13 @@ def test_dropout_only_active_in_training_mode():
     feats = rng.normal(size=(6, 5))
     y_t = rng.normal(size=6)
     eval_out = model.predict_y0(feats, y_t, t=4).data
-    train_a = model.predict_y0(
-        feats, y_t, t=4, training=True, rng=np.random.default_rng(0)
-    ).data
-    train_b = model.predict_y0(
-        feats, y_t, t=4, training=True, rng=np.random.default_rng(1)
-    ).data
+    train_a = model.predict_y0(feats, y_t, t=4, rng=np.random.default_rng(0)).data
+    train_b = model.predict_y0(feats, y_t, t=4, rng=np.random.default_rng(1)).data
     assert not np.array_equal(train_a, eval_out)
     assert not np.array_equal(train_a, train_b)
-    # p = 0 makes training mode coincide with eval mode exactly
+    # p = 0 makes a pass with an rng coincide with one without exactly
     plain = toy_model(dropout_p=0.0)
-    same = plain.predict_y0(feats, y_t, t=4, training=True, rng=np.random.default_rng(0))
+    same = plain.predict_y0(feats, y_t, t=4, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(same.data, plain.predict_y0(feats, y_t, t=4).data)
 
 
@@ -166,6 +162,12 @@ def test_dtype_propagates_to_outputs():
     model = DenoiseModel(toy_config(), SPEC, dtype="float32", seed=0)
     pred = model.predict_y0(np.ones((3, 5)), np.zeros(3), t=2)
     assert pred.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", ["float16", "longdouble", "int64"])
+def test_model_rejects_a_dtype_checkpoints_cannot_hold(dtype):
+    with pytest.raises(ConfigError, match="dtype must be one of"):
+        DenoiseModel(toy_config(), SPEC, dtype=dtype, seed=0)
 
 
 # ---------------------------------------------------------------------------

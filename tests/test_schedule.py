@@ -175,7 +175,20 @@ class TestStridedTable:
     def test_effective_table_passes_validation(self):
         base = _table("cosine", 600)
         eff = sc.strided_table(base, [1, 200, 400, 600])
-        eff.validate(require_terminal=True)
+        eff.validate()
+        assert eff.alpha_bar[-1] < sc.TERMINAL_ALPHA_BAR
+
+    def test_terminal_rule_binds_build_schedule_not_strided_tables(self, monkeypatch):
+        # a structurally valid table that keeps most of its signal at t = T
+        monkeypatch.setitem(sc._BUILDERS, "linear", lambda T: np.full(T, 1e-5))
+        with pytest.raises(ConfigError, match="terminal alpha_bar"):
+            sc.build_schedule(sc.ScheduleSpec("linear", 200))
+        assert sc.build_schedule(sc.ScheduleSpec("linear", 199)).alpha_bar[-1] > 0.99
+        # a strided table may stop short of T, far from fully noised
+        base = _table("cosine", 600)
+        eff = sc.strided_table(base, [1, 100, 200])
+        assert eff.alpha_bar[-1] == pytest.approx(base.alpha_bar_at(200), rel=1e-12)
+        assert eff.alpha_bar[-1] >= sc.TERMINAL_ALPHA_BAR
 
     def test_rejects_unsorted_input(self):
         base = _table("linear", 100)

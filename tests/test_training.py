@@ -13,7 +13,9 @@ from diffrank.autodiff import Tensor
 from diffrank.errors import ConfigError, IncompatibilityError, NumericError
 from diffrank.letor import Dataset, QueryGroup
 from diffrank.losses import LossSpec, ranking_loss
+from diffrank.metrics import evaluate_rankings, ranking_order
 from diffrank.network import DenoiseModel, ModelConfig, load_checkpoint
+from diffrank.sampling import SamplerConfig, rank_split
 from diffrank.schedule import ScheduleSpec, build_schedule, q_sample
 from diffrank.training import (
     AdamW,
@@ -51,7 +53,7 @@ def small_train_config(**overrides) -> TrainConfig:
         lr=1e-3,
         weight_decay=0.01,
         eval_every=2,
-        eval_reverse_steps=2,
+        sampler=SamplerConfig(reverse_steps=2),
         seed=5,
         dtype="float64",
     )
@@ -280,9 +282,7 @@ def _per_query_graph_step(batch, state, config) -> float:
         t = sample_timestep(state.rng, state.table.timesteps)
         eps = state.rng.standard_normal(labels.size)
         y_t = q_sample(labels, t, eps, state.table)
-        pred = state.model.predict_y0(
-            group.feature_matrix(), y_t, t=t, training=True, rng=state.rng
-        )
+        pred = state.model.predict_y0(group.feature_matrix(), y_t, t=t, rng=state.rng)
         per_query.append(ranking_loss(config.loss, pred, labels))
     total = per_query[0]
     for q_loss in per_query[1:]:
@@ -351,9 +351,7 @@ def test_train_step_loss_is_mean_over_queries():
         t = sample_timestep(replay.rng, table.timesteps)
         eps = replay.rng.standard_normal(labels.size)
         y_t = q_sample(labels, t, eps, table)
-        pred = replay.model.predict_y0(
-            group.feature_matrix(), y_t, t=t, training=True, rng=replay.rng
-        )
+        pred = replay.model.predict_y0(group.feature_matrix(), y_t, t=t, rng=replay.rng)
         per_query.append(float(ranking_loss(config.loss, pred, labels).data))
     assert loss == pytest.approx(np.mean(per_query), abs=1e-12)
 
@@ -435,9 +433,32 @@ def test_fit_float32_smoke(tmp_path):
 
 
 def test_fit_clamps_eval_steps_to_horizon(tmp_path):
-    config = small_train_config(epochs=1, eval_reverse_steps=50)
+    config = small_train_config(epochs=1, sampler=SamplerConfig(reverse_steps=50))
     result = fit(tiny_dataset(), tiny_dataset(seed=2, n_queries=2), config, str(tmp_path))
     assert "valid_ndcg10" in result.log[0]
+
+
+def test_fit_validates_with_the_run_sampler(tmp_path):
+    sampler = SamplerConfig(reverse_steps=2, zero_variance=True)
+    config = small_train_config(epochs=1, eval_every=1, sampler=sampler)
+    valid = tiny_dataset(seed=2)
+    result = fit(tiny_dataset(), valid, config, str(tmp_path))
+    model = load_checkpoint(result.best_path)
+
+    def ndcg10(cfg):
+        # the first validation draws from child 0 of fit's fourth seed stream
+        child = np.random.SeedSequence(config.seed).spawn(4)[3].spawn(1)[0]
+        scores = rank_split(model, valid.groups, build_schedule(SPEC), cfg, seed_seq=child)
+        report = evaluate_rankings(
+            [g.labels() for g in valid.groups],
+            [ranking_order(runs[0]) for runs in scores],
+            cutoffs=(10,),
+        )
+        return float(report.values["ndcg"][10])
+
+    assert result.log[0]["valid_ndcg10"] == ndcg10(sampler)
+    # on this split zero_variance changes the ranking, so it reached validation
+    assert result.log[0]["valid_ndcg10"] != ndcg10(SamplerConfig(reverse_steps=2))
 
 
 def test_loss_trajectory_decreases_on_easy_data(tmp_path):
