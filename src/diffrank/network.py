@@ -13,14 +13,20 @@ row-wise, with `segments` giving each query's row count. Attention stays
 within a segment and every other layer is row-wise, so a packed query
 gets the same outputs, up to float rounding, as when it runs alone.
 
-denoise() consumes the context vectors together with the noisy label
-column and the embedded timestep: every hidden layer is
+The denoise head consumes the context vectors together with the noisy
+label column and the embedded timestep: every hidden layer is
 Linear -> softplus -> dropout, gated elementwise by the timestep
 embedding, and the first layer adds the noisy label times its own weight
 row `den0.label.w`; the output layer produces one activation per
 relevance grade, and a softmax turns them into weights over the grades
 0..letor.MAX_LABEL whose weighted sum is the predicted clean label,
 guaranteed to stay inside [0, MAX_LABEL].
+
+The head is split where the noisy label enters. denoise_input() is the
+context's share of the first layer and timestep_embedding() the gate;
+denoise() takes both and runs only what the label reaches. predict_y0()
+composes the three for training, and the sampler, whose context is fixed
+over a reverse process, builds the first two once per call.
 
 Checkpoints are a self-describing binary: magic, version, a JSON header
 (model config, schedule spec, dtype, parameter manifest), then raw
@@ -96,8 +102,9 @@ def sinusoidal_embedding(t, d: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles), pad], axis=1)
 
 
-def _segment_lengths(segments, rows: int) -> np.ndarray:
-    """Row counts of the queries packed into `rows` rows; None is one query."""
+def _segment_lengths(segments, rows: int | None) -> np.ndarray:
+    """Row counts of the queries packed into `rows` rows; None is one query.
+    With rows None the lengths need only be positive integers."""
     if segments is None:
         return np.array([rows], dtype=np.int64)
     lengths = np.asarray(segments)
@@ -106,10 +113,11 @@ def _segment_lengths(segments, rows: int) -> np.ndarray:
         or lengths.size == 0
         or not np.issubdtype(lengths.dtype, np.integer)
         or lengths.min() < 1
-        or lengths.sum() != rows
+        or (rows is not None and lengths.sum() != rows)
     ):
+        where = "" if rows is None else f" {rows} rows"
         raise ShapeError(
-            f"segment lengths {lengths.tolist()} do not split {rows} rows "
+            f"segment lengths {lengths.tolist()} do not split{where} "
             "into non-empty queries"
         )
     return lengths.astype(np.int64)
@@ -172,6 +180,8 @@ class DenoiseModel:
         if self.dtype.name not in DTYPES:
             raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype.name!r}")
         self.params = params if params is not None else self._init_params(seed)
+        # the relevance grades 0..MAX_LABEL, which weight the output softmax
+        self._grades = Tensor(np.arange(MAX_LABEL + 1, dtype=self.dtype).reshape(-1, 1))
 
     # -- parameters ---------------------------------------------------------
 
@@ -249,50 +259,69 @@ class DenoiseModel:
         merged = ad.attention(q, k, v, lengths, self.config.heads)
         return ad.linear(merged, self._p(f"enc{i}.attn.wo.w"), self._p(f"enc{i}.attn.wo.b"))
 
-    def timestep_embedding(self, t) -> Tensor:
-        """Learned embedding of timesteps t (an int or an array), one row each."""
-        base = Tensor(sinusoidal_embedding(t, self.config.d_model).astype(self.dtype))
-        return ad.linear(base, self._p("temb.w"), self._p("temb.b"))
+    def timestep_embedding(self, t, segments=None) -> Tensor:
+        """Learned embedding of timesteps t (an int or an array): the gate
+        that multiplies every hidden denoise layer.
+
+        Without segments it has one row per timestep. With segments (as
+        for encode), t is one timestep for all rows, which stays a single
+        row that gates every row, or one per segment, whose row is then
+        repeated over that segment's rows.
+        """
+        steps = np.asarray(t).reshape(-1)
+        if segments is not None:
+            lengths = _segment_lengths(segments, None)
+            if steps.size not in (1, lengths.size):
+                raise ShapeError(
+                    f"{steps.size} timesteps given for {lengths.size} segments"
+                )
+        base = Tensor(sinusoidal_embedding(steps, self.config.d_model).astype(self.dtype))
+        temb = ad.linear(base, self._p("temb.w"), self._p("temb.b"))
+        if segments is not None and steps.size > 1:
+            temb = ad.embedding_lookup(temb, np.repeat(np.arange(steps.size), lengths))
+        return temb
+
+    def denoise_input(self, context: Tensor) -> Tensor:
+        """The first denoise layer's pre-activation from the context alone:
+        the part that does not depend on the noisy label or the timestep."""
+        return ad.linear(context, self._p("den0.w"), self._p("den0.b"))
 
     def denoise(
         self,
-        context: Tensor,
+        first: Tensor,
         y_t: np.ndarray,
-        t,
-        segments=None,
+        temb: Tensor,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Predicted clean labels, shape (rows, 1).
+        """Predicted clean labels, shape (rows, 1), from what denoise_input
+        and timestep_embedding return.
 
-        t is one timestep for all rows, or one per segment of `segments`
-        (as for encode); each query's embedding is repeated over its rows.
+        This is the part of the head that the noisy label reaches: the
+        label column times `den0.label.w` completes the first layer, then
+        the gated layers and the grade softmax run. temb has one row, which
+        gates every row, or one row per row of `first`.
         """
         cfg = self.config
-        n = context.data.shape[0]
+        n = first.data.shape[0]
         y_col = self._cast(y_t).reshape(-1, 1)
         if y_col.shape[0] != n:
             raise ShapeError(
-                f"noisy labels cover {y_col.shape[0]} rows, context has {n}"
+                f"noisy labels cover {y_col.shape[0]} rows, the first-layer input {n}"
             )
-        lengths = _segment_lengths(segments, n)
-        steps = np.asarray(t).reshape(-1)
-        if steps.size not in (1, lengths.size):
-            raise ShapeError(f"{steps.size} timesteps given for {lengths.size} segments")
+        if temb.data.shape[0] not in (1, n):
+            raise ShapeError(
+                f"timestep embedding has {temb.data.shape[0]} rows, the first-layer input {n}"
+            )
         p = cfg.dropout_p
-        temb = self.timestep_embedding(steps)  # a single row gates every row
-        if steps.size > 1:
-            temb = ad.embedding_lookup(temb, np.repeat(np.arange(steps.size), lengths))
-        x = context
+        z = ad.add(first, ad.matmul(Tensor(y_col), self._p("den0.label.w")))
+        x = ad.mul(ad.dropout(ad.softplus(z), p, rng), temb)
         last = cfg.denoise_layers - 1
-        for j in range(last):
+        for j in range(1, last):
             z = ad.linear(x, self._p(f"den{j}.w"), self._p(f"den{j}.b"))
-            if j == 0:
-                z = ad.add(z, ad.matmul(Tensor(y_col), self._p("den0.label.w")))
             x = ad.mul(ad.dropout(ad.softplus(z), p, rng), temb)
         z = ad.linear(x, self._p(f"den{last}.w"), self._p(f"den{last}.b"))
         weights = ad.softmax(ad.dropout(ad.softplus(z), p, rng))
-        grades = Tensor(np.arange(MAX_LABEL + 1, dtype=self.dtype).reshape(-1, 1))
-        return ad.matmul(weights, grades)
+        return ad.matmul(weights, self._grades)
 
     def predict_y0(
         self,
@@ -302,8 +331,11 @@ class DenoiseModel:
         segments=None,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
+        """Predicted clean labels of one or more queries at timestep t: one
+        timestep for all rows, or one per segment (see encode)."""
         context = self.encode(features, segments, rng=rng)
-        return self.denoise(context, y_t, t, segments, rng=rng)
+        temb = self.timestep_embedding(t, segments)
+        return self.denoise(self.denoise_input(context), y_t, temb, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ coefficients for the visited subsequence from cumulative
 signal-retention ratios, so the marginal noise level at each visited
 step is unchanged.
 
-The encoder sees only the document features, so a query is encoded once
-per reverse process and each visited step costs one call to the denoise
-head. Repeated runs of one query share that encoding and advance as one
-stacked batch of chains, each drawing from its own generator.
+The encoder sees only the document features, and within one reverse
+process only the noisy label and the timestep change. So each rank_* call
+builds the timestep gates of all visited steps once, a query is encoded
+once, and the context's share of the first denoise layer is computed once
+on its documents; each visited step then costs one call to
+DenoiseModel.denoise, which runs only the layers the noisy label reaches.
+Repeated runs of one query share that work and advance as one stacked
+batch of chains, each drawing from its own generator.
 
 rank_split ranks every query of a split with one strided schedule and one
 documented rule for the random stream each query draws from; every
@@ -74,8 +78,10 @@ def stride_schedule(timesteps: int, reverse_steps: int) -> list[int]:
 
 def _strided(
     model: DenoiseModel, table: ScheduleTable, cfg: SamplerConfig
-) -> tuple[list[int], ScheduleTable]:
-    """Visited timesteps (descending) and the table re-derived over them."""
+) -> tuple[ScheduleTable, list[ad.Tensor]]:
+    """The table re-derived over the visited steps of one rank_* call, and
+    the timestep-embedding row of each visited step (descending), from one
+    timestep_embedding call."""
     spec = model.schedule
     if table.kind != spec.kind or table.timesteps != spec.timesteps:
         raise IncompatibilityError(
@@ -83,32 +89,39 @@ def _strided(
             f"sampler was given {table.kind}/T={table.timesteps}"
         )
     visited = stride_schedule(table.timesteps, cfg.reverse_steps)
-    return visited, strided_table(table, list(reversed(visited)))
+    with ad.no_grad():
+        gates = model.timestep_embedding(np.array(visited)).data
+    return (
+        strided_table(table, list(reversed(visited))),
+        [ad.Tensor(row) for row in gates[:, None, :]],
+    )
 
 
 def _reverse(
     model: DenoiseModel,
     features: np.ndarray,
-    schedule: tuple[list[int], ScheduleTable],
+    schedule: tuple[ScheduleTable, list[ad.Tensor]],
     cfg: SamplerConfig,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Run one reverse chain per generator on one query; (M, n) scores.
 
-    `schedule` is what _strided returns. The documents are encoded once.
-    The M chains share that context, tiled to M*n rows, so each visited
-    step is one denoise call. Chain m draws only from rngs[m]: its
-    starting noise, then one draw per non-final step.
+    `schedule` is what _strided returns. The documents are encoded once,
+    and the context's share of the first denoise layer is computed once on
+    their n rows. The M chains share it, tiled to M*n rows, so each visited
+    step is one denoise call. Chain m draws only from rngs[m]: its starting
+    noise, then one draw per non-final step.
     """
-    visited, effective = schedule
+    effective, gates = schedule
     features = np.asarray(features)
     n, m = features.shape[0], len(rngs)
     y = np.stack([rng.standard_normal(n) for rng in rngs])
-    steps = len(visited)
+    steps = len(gates)
     with ad.no_grad():
-        context = ad.Tensor(np.tile(model.encode(features).data, (m, 1)))
+        first = model.denoise_input(model.encode(features))
+        first = ad.Tensor(np.tile(first.data, (m, 1)))
         for j in range(steps, 0, -1):
-            y_hat = model.denoise(context, y, t=visited[steps - j]).data
+            y_hat = model.denoise(first, y, gates[steps - j]).data
             y_hat = np.asarray(y_hat, dtype=np.float64).reshape(m, n)
             if j > 1:
                 mean, var = posterior(y, y_hat, j, effective)
@@ -166,12 +179,14 @@ def rank_split(
     """Rank every query of a split; one (repeats, n) score array per query,
     in group order.
 
-    The strided schedule is built once for the whole split. Streams: query
-    i draws from child i of seed_seq.spawn(len(groups)), where seed_seq
-    defaults to SeedSequence(cfg.seed). A single chain seeds its generator
-    with that child directly, so it ranks exactly as
-    rank_query(..., rng=default_rng(child)); with repeats > 1, chain m uses
-    child.spawn(repeats)[m], so no two queries share a stream.
+    The strided schedule and its timestep gates are built once for the
+    whole split. Streams: query i draws from child i, the sequence that
+    seed_seq.spawn(len(groups))[i] returns while seed_seq is fresh;
+    seed_seq, which defaults to SeedSequence(cfg.seed), is left as it
+    was, so calls that share it draw the same noise. A single chain seeds
+    its generator with that child directly, so it ranks exactly as
+    rank_query(..., rng=default_rng(child)); with repeats > 1, chain m
+    uses child.spawn(repeats)[m], so no two queries share a stream.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -179,7 +194,14 @@ def rank_split(
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(cfg.seed)
     out = []
-    for group, child in zip(groups, seed_seq.spawn(len(groups))):
+    for i, group in enumerate(groups):
+        # what seed_seq.spawn would return on a fresh sequence, without
+        # advancing the caller's
+        child = np.random.SeedSequence(
+            seed_seq.entropy,
+            spawn_key=seed_seq.spawn_key + (i,),
+            pool_size=seed_seq.pool_size,
+        )
         streams = [child] if repeats == 1 else child.spawn(repeats)
         rngs = [np.random.default_rng(s) for s in streams]
         out.append(_reverse(model, group.feature_matrix(), schedule, cfg, rngs))

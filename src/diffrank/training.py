@@ -83,7 +83,8 @@ class AdamW:
 
     The decay multiplies parameters by (1 - lr * weight_decay) before the
     moment-based step, so it never flows through the adaptive scaling;
-    with weight_decay = 0 this is exactly Adam.
+    with weight_decay = 0 this is exactly Adam. A parameter that an update
+    leaves non-finite raises NumericError, naming it and the step.
     """
 
     def __init__(
@@ -128,6 +129,10 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if not np.isfinite(p.data).all():
+                raise NumericError(
+                    f"AdamW step {self.t} left non-finite values in parameter {name}"
+                )
 
 
 @dataclass

@@ -418,7 +418,7 @@ def test_criterion_07_stride_robustness(overfit_run):
     ])
 
     # A query is encoded once and then costs one denoise call per step, so
-    # 2 and 4 steps differ by two denoise calls, about an eighth of a query,
+    # 2 and 4 steps differ by two denoise calls, under a tenth of a query,
     # while the machine's speed can swing by more than that within a second.
     # The step counts therefore take turns on every query, over three rounds,
     # and each sums the time of its own calls.

@@ -261,13 +261,17 @@ def test_shape_errors_name_the_problem():
     for segments in ([1, 1], [2, 2], [3, 0], [1.5, 1.5]):
         with pytest.raises(ShapeError, match="segment lengths"):
             model.encode(np.ones((3, 5)), segments=segments)
-    ctx = model.encode(np.ones((3, 5)))
+    first = model.denoise_input(model.encode(np.ones((3, 5))))
     with pytest.raises(ShapeError):
-        model.denoise(ctx, np.zeros(2), t=1)
+        model.denoise(first, np.zeros(2), model.timestep_embedding(1))
+    with pytest.raises(ShapeError, match="timestep embedding"):
+        model.denoise(first, np.zeros(3), model.timestep_embedding([1, 2]))
     with pytest.raises(ShapeError, match="segment lengths"):
-        model.denoise(ctx, np.zeros(3), t=[1, 2], segments=[1, 1])
+        model.timestep_embedding([1, 2], segments=[1, 0])
+    with pytest.raises(ShapeError, match="segment lengths"):
+        model.predict_y0(np.ones((3, 5)), np.zeros(3), t=[1, 2], segments=[1, 1])
     with pytest.raises(ShapeError, match="timesteps"):
-        model.denoise(ctx, np.zeros(3), t=[1, 2, 3], segments=[1, 2])
+        model.timestep_embedding([1, 2, 3], segments=[1, 2])
 
 
 # ---------------------------------------------------------------------------

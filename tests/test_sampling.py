@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffrank import autodiff as ad
 from diffrank import sampling
 from diffrank.errors import ConfigError, IncompatibilityError
 from diffrank.letor import Dataset
@@ -15,7 +16,7 @@ from diffrank.sampling import (
     rank_split,
     stride_schedule,
 )
-from diffrank.schedule import ScheduleSpec, build_schedule, strided_table
+from diffrank.schedule import ScheduleSpec, build_schedule, posterior, strided_table
 
 SPEC = ScheduleSpec(kind="linear", timesteps=12)
 
@@ -162,19 +163,30 @@ def test_different_seeds_give_different_noise(table, feats):
 
 
 def _spy_on_network(model, monkeypatch):
-    """Record every encode call and the timestep of every denoise call."""
+    """Record every encode call and the timestep of every denoise call.
+
+    denoise receives a timestep-embedding row, not a timestep, so each
+    row that timestep_embedding returns is mapped back to its timestep."""
     calls = {"encode": 0, "denoise": []}
-    encode, denoise = model.encode, model.denoise
+    encode, embed, denoise = model.encode, model.timestep_embedding, model.denoise
+    rows = []
 
     def encode_spy(features, **kwargs):
         calls["encode"] += 1
         return encode(features, **kwargs)
 
-    def denoise_spy(context, y_t, t, **kwargs):
+    def embed_spy(t, *args, **kwargs):
+        temb = embed(t, *args, **kwargs)
+        rows.extend(zip(np.reshape(t, -1).tolist(), temb.data))
+        return temb
+
+    def denoise_spy(first, y_t, temb, **kwargs):
+        (t,) = [step for step, row in rows if np.array_equal(row, temb.data[0])]
         calls["denoise"].append(t)
-        return denoise(context, y_t, t=t, **kwargs)
+        return denoise(first, y_t, temb, **kwargs)
 
     monkeypatch.setattr(model, "encode", encode_spy)
+    monkeypatch.setattr(model, "timestep_embedding", embed_spy)
     monkeypatch.setattr(model, "denoise", denoise_spy)
     return calls
 
@@ -203,6 +215,42 @@ def test_repeated_runs_share_one_encode_and_one_denoise_per_step(
     rank_query_repeated(model, feats, table, SamplerConfig(reverse_steps=5, seed=0), repeats=4)
     assert calls["encode"] == 1
     assert calls["denoise"] == stride_schedule(12, 5)
+
+
+def _step_by_step(model, features, table, steps, rng):
+    """The reverse process from predict_y0 alone, drawing from rng in the
+    order a chain of the sampler does."""
+    visited = stride_schedule(table.timesteps, steps)
+    effective = strided_table(table, list(reversed(visited)))
+    n = features.shape[0]
+    y = rng.standard_normal(n)
+    with ad.no_grad():
+        for j in range(steps, 0, -1):
+            y_hat = model.predict_y0(features, y, t=visited[steps - j]).data.reshape(n)
+            if j > 1:
+                mean, var = posterior(y, y_hat, j, effective)
+                y = mean + np.sqrt(var) * rng.standard_normal(n)
+    return y_hat
+
+
+@pytest.mark.parametrize("steps", [1, 8, 32])
+@pytest.mark.parametrize("chains", [1, 3])
+def test_reverse_equals_step_by_step_predict_y0(rng, steps, chains):
+    spec = ScheduleSpec(kind="cosine", timesteps=40)
+    config = ModelConfig(k=4, d_model=16, heads=2, blocks=2, denoise_layers=3)
+    model = DenoiseModel(config, spec, dtype="float64", seed=3)
+    table = build_schedule(spec)
+    features = rng.normal(size=(7, 4))
+    cfg = SamplerConfig(reverse_steps=steps)
+    seeds = np.random.SeedSequence(11).spawn(chains)
+    scores = sampling._reverse(
+        model, features, sampling._strided(model, table, cfg), cfg,
+        [np.random.default_rng(s) for s in seeds],
+    )
+    assert scores.shape == (chains, 7)
+    for chain, seed in zip(scores, seeds):
+        ref = _step_by_step(model, features, table, steps, np.random.default_rng(seed))
+        np.testing.assert_allclose(chain, ref, rtol=0, atol=1e-12)
 
 
 def test_ties_break_by_document_position(table):
@@ -358,6 +406,21 @@ def test_split_seed_seq_replaces_the_config_seed(table, rng):
     seeded = rank_split(model, split.groups, table, SamplerConfig(reverse_steps=3, seed=5))
     for a, b in zip(given, seeded):
         np.testing.assert_array_equal(a, b)
+
+
+def test_split_leaves_a_shared_seed_seq_unchanged(table, rng):
+    # spawning from the caller's sequence would advance it, and the second
+    # call would rank from other noise
+    model = small_model()
+    split = make_split(rng)
+    cfg = SamplerConfig(reverse_steps=3)
+    seed_seq = np.random.SeedSequence(5)
+    for repeats in (1, 2):
+        first = rank_split(model, split.groups, table, cfg, repeats, seed_seq)
+        second = rank_split(model, split.groups, table, cfg, repeats, seed_seq)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+    assert seed_seq.n_children_spawned == 0
 
 
 def test_split_repeats_use_the_query_child_spawn(table, rng):

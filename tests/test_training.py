@@ -190,6 +190,27 @@ def test_gradient_shape_mismatch_is_rejected():
         opt.step()
 
 
+def test_non_finite_update_names_the_parameter_and_step():
+    a = Tensor(np.ones((1, 2)), requires_grad=True)
+    b = Tensor(np.ones((2, 2)), requires_grad=True)
+    opt = AdamW({"a": a, "b": b}, lr=1e-3)
+    a.grad, b.grad = np.ones((1, 2)), np.ones((2, 2))
+    opt.step()
+    b.grad = np.array([[1.0, np.inf], [1.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="AdamW step 2 .* parameter b$"):
+            opt.step()
+
+
+def test_overflowing_learning_rate_stops_at_the_first_step():
+    ds = tiny_dataset()
+    config = small_train_config(lr=1e300, dtype="float32")
+    state = init_state(config)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="AdamW step 1 left non-finite values in parameter"):
+            train_step(ds.groups, state, config)
+
+
 # ---------------------------------------------------------------------------
 # descent property
 
