@@ -13,7 +13,7 @@ seed. Wall-clock timings appear only on stdout, never inside artifacts.
 Exit codes: 0 success, 2 configuration errors, 3 data errors (parse,
 validation, cache, artifact incompatibilities, unreadable or unwritable
 paths), 4 numeric failures, 1 anything else; each error class carries
-its code as `exit_code`.
+its code as `exit_code`. Ctrl-C ends a command with exit 130.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import PRESETS, RunConfig, resolve_config
 from .errors import ConfigError, DataError, DiffrankError, IncompatibilityError
-from .gradcheck import run_all_checks
+from .gradcheck import GRAD_TOL, run_all_checks
 from .letor import (
     Dataset,
     cache_read,
@@ -326,25 +326,13 @@ def cmd_diversity(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    for flag, count in (
-        ("--op-trials", args.op_trials),
-        ("--loss-trials", args.loss_trials),
-        ("--directions", args.directions),
-    ):
-        if count < 1:  # zero trials would compare nothing and still pass
-            raise ConfigError(f"{flag} must be >= 1, got {count}")
-    results = run_all_checks(
-        seed=args.seed,
-        op_trials=args.op_trials,
-        loss_trials=args.loss_trials,
-        model_directions=args.directions,
-    )
+    results = run_all_checks()
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
         status = "ok" if r.passed else "FAIL"
         failures += 0 if r.passed else 1
-        print(f"{r.name:<{width}}  worst {r.worst:.3e}  tol {r.tol:g}  {status}")
+        print(f"{r.name:<{width}}  worst {r.worst:.3e}  tol {GRAD_TOL:g}  {status}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
@@ -420,10 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diversity)
 
     p = sub.add_parser("gradcheck", help="run the numeric integrity suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--op-trials", type=int, default=5)
-    p.add_argument("--loss-trials", type=int, default=20)
-    p.add_argument("--directions", type=int, default=8)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -439,8 +423,13 @@ def main(argv=None) -> int:
     except DiffrankError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except OSError as e:  # a path that cannot be read, created or written
-        where = f"{e.filename}: " if e.filename else ""
+        # a failed rename names its target, the path the user chose
+        path = e.filename2 or e.filename
+        where = f"{path}: " if path else ""
         print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 3
 

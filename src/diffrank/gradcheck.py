@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .losses import LOSS_NAMES, LossSpec, ranking_loss
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
+TRIALS = 20  # random instances per check, criterion 1's gate
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -58,16 +60,15 @@ def check_directional(
     arrays: Sequence[np.ndarray],
     analytic: Sequence[np.ndarray],
     rng: np.random.Generator,
-    n_directions: int = 4,
 ) -> float:
-    """Worst relative error over random directions, each against a central
-    finite difference along that direction.
+    """Worst relative error over TRIALS random directions, each against a
+    central finite difference along that direction.
 
     Cheap enough for whole-model checks where coordinatewise FD would
     need two forward passes per parameter.
     """
     worst = 0.0
-    for _ in range(n_directions):
+    for _ in range(TRIALS):
         dirs = [rng.standard_normal(a.shape) for a in arrays]
         norm = np.sqrt(sum(float((d * d).sum()) for d in dirs))
         dirs = [d / norm for d in dirs]
@@ -88,11 +89,10 @@ def check_directional(
 class CheckResult:
     name: str
     worst: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return np.isfinite(self.worst) and self.worst <= self.tol
+        return np.isfinite(self.worst) and self.worst <= GRAD_TOL
 
 
 def _normal(*shapes):
@@ -174,15 +174,16 @@ OP_CASES = (
 )
 
 
-def _run_op_case(make_inputs, op, rng, trials: int) -> float:
-    """Worst FD error for one op case over several random instances.
+def _op_check(index: int, make_inputs, op) -> float:
+    """Worst FD error for one op case over TRIALS random instances.
 
     Each instance draws its inputs, then a cotangent weight of op's output
     shape, and checks the gradient of sum(op(inputs) * weight), so each
     op's backward sees a generic cotangent.
     """
+    rng = np.random.default_rng([0, index])
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         arrays = make_inputs(rng)
         leaves = [ad.Tensor(np.array(a), requires_grad=True) for a in arrays]
         out = op(leaves)
@@ -197,27 +198,13 @@ def _run_op_case(make_inputs, op, rng, trials: int) -> float:
     return worst
 
 
-def op_gradient_checks(seed: int = 0, trials: int = 5) -> list[CheckResult]:
-    """Coordinatewise FD check for every engine op, several instances each."""
-    results = []
-    for index, (name, make_inputs, op) in enumerate(OP_CASES):
-        rng = np.random.default_rng([seed, index])
-        try:
-            worst = _run_op_case(make_inputs, op, rng, trials)
-        except Exception:
-            worst = float("inf")
-        results.append(CheckResult(name=f"op.{name}", worst=worst, tol=GRAD_TOL))
-    return results
-
-
-def loss_gradient_check(
-    spec: LossSpec, n: int = 6, trials: int = 20, seed: int = 0
-) -> float:
+def loss_gradient_check(spec: LossSpec) -> float:
     """Worst relative error between engine gradients and central finite
-    differences over random (scores, labels) instances."""
-    rng = np.random.default_rng(seed)
+    differences over TRIALS random 6-document (scores, labels) instances."""
+    rng = np.random.default_rng(0)
+    n = 6
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         labels = rng.integers(0, 5, size=n).astype(np.float64)
         if labels.max() == 0:
             labels[rng.integers(0, n)] = rng.integers(1, 5)
@@ -239,76 +226,80 @@ def loss_gradient_check(
     return worst
 
 
-def loss_gradient_checks(seed: int = 0, trials: int = 20) -> list[CheckResult]:
-    """FD check for every ranking loss on random score/label instances."""
-    results = []
-    for name in LOSS_NAMES:
-        try:
-            worst = loss_gradient_check(LossSpec(name=name), trials=trials, seed=seed)
-        except Exception:
-            worst = float("inf")
-        results.append(CheckResult(name=f"loss.{name}", worst=worst, tol=GRAD_TOL))
-    return results
+# (label, attention on, segment lengths, one timestep or one per segment):
+# one query in both encoder modes, and two ragged queries packed into one
+# graph
+MODEL_CASES = (
+    ("attention", True, [3], 5),
+    ("feedforward", False, [3], 5),
+    ("packed", True, [2, 3], [5, 2]),
+)
 
 
-def model_gradient_checks(seed: int = 0, n_directions: int = 8) -> list[CheckResult]:
-    """Directional FD check through the full network: one query in both
-    encoder modes, and two ragged queries packed into one graph."""
+def _model_check(
+    index: int, use_attention: bool, segments: list[int], t: int | list[int]
+) -> float:
+    """Directional FD check through the full network, TRIALS directions."""
     from .network import DenoiseModel, ModelConfig
     from .schedule import ScheduleSpec
 
     spec = ScheduleSpec(kind="linear", timesteps=8)
-    # (label, attention on, segment lengths, one timestep or one per segment)
-    cases = (
-        ("attention", True, [3], 5),
-        ("feedforward", False, [3], 5),
-        ("packed", True, [2, 3], [5, 2]),
+    rng = np.random.default_rng([0, index])
+    config = ModelConfig(
+        k=4, d_model=16, heads=2, blocks=1, denoise_layers=2,
+        dropout_p=0.0, use_attention=use_attention,
     )
+    model = DenoiseModel(config, spec, dtype="float64", seed=3)
+    rows = sum(segments)
+    feats = rng.normal(size=(rows, 4))
+    y_t = rng.normal(size=rows)
+    target = rng.normal(size=(rows, 1))
+    names = sorted(model.params)
+
+    def loss(m):
+        diff = ad.sub(m.predict_y0(feats, y_t, t=t, segments=segments), ad.Tensor(target))
+        return ad.tensor_mean(ad.mul(diff, diff))
+
+    def f(arrays):
+        params = {
+            name: ad.Tensor(np.array(arr), requires_grad=True)
+            for name, arr in zip(names, arrays)
+        }
+        return loss(DenoiseModel(config, spec, dtype="float64", params=params)).item()
+
+    ad.backward(loss(model))
+    arrays = [np.array(model.params[n].data) for n in names]
+    analytic = [model.params[n].grad for n in names]
+    return check_directional(f, arrays, analytic, rng)
+
+
+def named_checks() -> list[tuple[str, Callable[[], float]]]:
+    """(name, check) for every check the suite runs, in report order; each
+    check returns its worst relative error."""
+    return (
+        [
+            (f"op.{name}", partial(_op_check, index, make_inputs, op))
+            for index, (name, make_inputs, op) in enumerate(OP_CASES)
+        ]
+        + [
+            (f"loss.{name}", partial(loss_gradient_check, LossSpec(name=name)))
+            for name in LOSS_NAMES
+        ]
+        + [
+            (f"model.{label}", partial(_model_check, index, *case))
+            for index, (label, *case) in enumerate(MODEL_CASES)
+        ]
+    )
+
+
+def run_all_checks() -> list[CheckResult]:
+    """Every integrity check the `gradcheck` command reports; a check that
+    raises reports a worst error of inf."""
     results = []
-    for index, (label, use_attention, segments, t) in enumerate(cases):
-        rng = np.random.default_rng([seed, index])
-        config = ModelConfig(
-            k=4, d_model=16, heads=2, blocks=1, denoise_layers=2,
-            dropout_p=0.0, use_attention=use_attention,
-        )
-        model = DenoiseModel(config, spec, dtype="float64", seed=seed + 3)
-        rows = sum(segments)
-        feats = rng.normal(size=(rows, 4))
-        y_t = rng.normal(size=rows)
-        target = rng.normal(size=(rows, 1))
-        names = sorted(model.params)
-
-        def loss(m, feats=feats, y_t=y_t, t=t, segments=segments, target=target):
-            diff = ad.sub(m.predict_y0(feats, y_t, t=t, segments=segments), ad.Tensor(target))
-            return ad.tensor_mean(ad.mul(diff, diff))
-
-        def f(arrays, names=names, config=config, loss=loss):
-            params = {
-                name: ad.Tensor(np.array(arr), requires_grad=True)
-                for name, arr in zip(names, arrays)
-            }
-            return loss(DenoiseModel(config, spec, dtype="float64", params=params)).item()
-
+    for name, check in named_checks():
         try:
-            ad.backward(loss(model))
-            arrays = [np.array(model.params[n].data) for n in names]
-            analytic = [model.params[n].grad for n in names]
-            worst = check_directional(f, arrays, analytic, rng, n_directions=n_directions)
+            worst = check()
         except Exception:
             worst = float("inf")
-        results.append(CheckResult(name=f"model.{label}", worst=worst, tol=GRAD_TOL))
-    return results
-
-
-def run_all_checks(
-    seed: int = 0,
-    op_trials: int = 5,
-    loss_trials: int = 20,
-    model_directions: int = 8,
-) -> list[CheckResult]:
-    """Every integrity check the `gradcheck` command reports."""
-    results = []
-    results.extend(op_gradient_checks(seed=seed, trials=op_trials))
-    results.extend(loss_gradient_checks(seed=seed, trials=loss_trials))
-    results.extend(model_gradient_checks(seed=seed, n_directions=model_directions))
+        results.append(CheckResult(name=name, worst=worst))
     return results

@@ -263,6 +263,8 @@ def fit(
     best_metric = float("-inf")
     log: list[dict] = []
     groups = list(train.groups)
+    log_path = os.path.join(out_dir, "train_log.jsonl")
+    open(log_path, "w", encoding="utf-8").close()
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(groups))
         losses = []
@@ -286,9 +288,9 @@ def fit(
                 best_metric = metric
                 save_checkpoint(state.model, best_path)
         log.append(entry)
-    log_path = os.path.join(out_dir, "train_log.jsonl")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for entry in log:
+        # appended as each epoch ends, so a run that stops early keeps the
+        # line of every epoch it finished
+        with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return TrainResult(
         best_path=best_path,

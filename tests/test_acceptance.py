@@ -99,7 +99,7 @@ def overfit_run(tmp_path_factory):
 
 def test_criterion_01_gradient_integrity():
     start = time.perf_counter()
-    results = run_all_checks(op_trials=20, loss_trials=20, model_directions=20)
+    results = run_all_checks()
     elapsed = time.perf_counter() - start
     failed = [(r.name, r.worst) for r in results if not r.passed]
     worst = max(r.worst for r in results)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffrank import autodiff as ad
-from diffrank import cli, network
+from diffrank import cli, gradcheck, network, training
 from diffrank.config import (
     PRESETS,
     SCHEMA,
@@ -480,6 +480,22 @@ def test_directory_as_checkpoint_exits_3(workspace, tmp_path, capsys):
     assert str(tmp_path) in err and "Is a directory" in err and "does not exist" not in err
 
 
+def test_directory_in_place_of_best_ckpt_exits_3_naming_it(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    (run / "best.ckpt").mkdir(parents=True)
+    code = cli.main([
+        "train",
+        "--train-cache", str(workspace["caches"] / "train.cache"),
+        "--valid-cache", str(workspace["caches"] / "valid.cache"),
+        "--out-dir", str(run),
+        *TRAIN_SETTINGS,
+    ])
+    assert code == 3
+    err = _one_error(capsys)
+    assert err == f"error: {run / 'best.ckpt'}: Is a directory\n"
+    assert not (run / "best.ckpt.tmp").exists()
+
+
 def test_unwritable_output_path_exits_3(workspace, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -840,23 +856,51 @@ def test_diversity_bytes_are_reproducible(workspace, tmp_path):
 
 
 def test_gradcheck_command_passes_quickly(capsys):
-    code = cli.main([
-        "gradcheck", "--op-trials", "1", "--loss-trials", "1", "--directions", "1",
-    ])
+    code = cli.main(["gradcheck"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert out.endswith("34/34 checks passed\n")
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("flag", ["--op-trials", "--loss-trials", "--directions"])
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_gradcheck_rejects_counts_below_one(capsys, flag, count):
-    counts = {"--op-trials": "1", "--loss-trials": "1", "--directions": "1", flag: count}
-    assert cli.main(["gradcheck", *[a for pair in counts.items() for a in pair]]) == 2
+@pytest.mark.parametrize("flag", ["--seed", "--op-trials", "--loss-trials", "--directions"])
+def test_gradcheck_takes_no_options(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", flag, "20"])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert err.count("error:") == 1 and flag in err
-    assert "checks passed" not in out
+    assert f"unrecognized arguments: {flag} 20" in err
+    assert out == ""
+
+
+def test_every_gradcheck_case_runs_twenty_instances(monkeypatch):
+    """An op or loss instance is one coordinatewise check_gradients call; a
+    model instance is one direction, two evaluations inside
+    check_directional."""
+    calls = []
+    real_gradients = gradcheck.check_gradients
+    real_directional = gradcheck.check_directional
+
+    def counted_gradients(f, arrays, analytic):
+        calls.append(1.0)
+        return real_gradients(f, arrays, analytic)
+
+    def counted_directional(f, arrays, analytic, rng):
+        def counted(arrs):
+            calls.append(0.5)
+            return f(arrs)
+
+        return real_directional(counted, arrays, analytic, rng)
+
+    monkeypatch.setattr(gradcheck, "check_gradients", counted_gradients)
+    monkeypatch.setattr(gradcheck, "check_directional", counted_directional)
+    counts = {}
+    for name, check in gradcheck.named_checks():
+        calls.clear()
+        assert check() <= gradcheck.GRAD_TOL, name
+        counts[name] = sum(calls)
+    assert len(counts) == 34
+    assert counts == dict.fromkeys(counts, 20.0)
 
 
 def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
@@ -870,12 +914,10 @@ def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr("diffrank.autodiff.softplus", corrupted)
-    results = run_all_checks(op_trials=1, loss_trials=1, model_directions=1)
+    results = run_all_checks()
     failed = {r.name for r in results if not r.passed}
     assert "op.softplus" in failed
-    code = cli.main([
-        "gradcheck", "--op-trials", "1", "--loss-trials", "1", "--directions", "1",
-    ])
+    code = cli.main(["gradcheck"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -908,15 +950,43 @@ def test_exit_code_mapping(monkeypatch, capsys, exc, expected):
     _one_error(capsys)
 
 
+def test_ctrl_c_during_train_exits_130_with_one_line(workspace, tmp_path, monkeypatch, capsys):
+    # 12 training queries in batches of 4: call 7 is epoch 3's first step
+    real_step = training.train_step
+    calls = []
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == 7:
+            raise KeyboardInterrupt
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "train_step", interrupted)
+    run = tmp_path / "run"
+    code = cli.main([
+        "train",
+        "--train-cache", str(workspace["caches"] / "train.cache"),
+        "--valid-cache", str(workspace["caches"] / "valid.cache"),
+        "--out-dir", str(run),
+        *TRAIN_SETTINGS,
+    ])
+    assert code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    # epochs 1 and 2 are logged as in the full run; eval_every=3, so no
+    # checkpoint was due yet
+    full = (workspace["run"] / "train_log.jsonl").read_text(encoding="utf-8")
+    assert (run / "train_log.jsonl").read_text(encoding="utf-8").splitlines() == (
+        full.splitlines()[:2]
+    )
+    assert sorted(os.listdir(run)) == ["config.txt", "train_log.jsonl"]
+
+
 def test_module_entry_point_runs_in_subprocess():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     # the child finds the package in src/, as pytest's own pythonpath does
     path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "diffrank.cli",
-            "gradcheck", "--op-trials", "1", "--loss-trials", "1", "--directions", "1",
-        ],
+        [sys.executable, "-m", "diffrank.cli", "gradcheck"],
         capture_output=True,
         text=True,
         cwd=root,

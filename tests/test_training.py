@@ -3,12 +3,14 @@ timestep sampling statistics, descent behaviour, and fit() bookkeeping."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from diffrank import autodiff as ad
+from diffrank import training
 from diffrank.autodiff import Tensor
 from diffrank.errors import ConfigError, IncompatibilityError, NumericError
 from diffrank.letor import Dataset, QueryGroup
@@ -435,6 +437,57 @@ def test_fit_is_deterministic(tmp_path):
         assert fa.read() == fb.read()
     with open(a.best_path, "rb") as fa, open(b.best_path, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def _raise_on_call(n, exc, real):
+    """real, except that its n-th call raises exc."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise exc
+        return real(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "target,exc",
+    [
+        # 8 queries in batches of 3: call 7 is epoch 3's first step
+        ("train_step", NumericError("non-finite training loss")),
+        ("train_step", KeyboardInterrupt()),
+        # Ctrl-C after epoch 3's checkpoint is written, before its rename
+        ("replace", KeyboardInterrupt()),
+    ],
+)
+def test_fit_stopped_in_epoch_3_keeps_what_epochs_1_and_2_wrote(
+    tmp_path, monkeypatch, target, exc
+):
+    train_ds, valid_ds = tiny_dataset(seed=0), tiny_dataset(seed=1, n_queries=4)
+
+    def run(epochs, out_dir):
+        # every validation improves, so every epoch rewrites best.ckpt
+        metrics = iter(range(1, 10))
+        monkeypatch.setattr(training, "_validate_ndcg10", lambda *a: next(metrics) / 10)
+        config = small_train_config(epochs=epochs, eval_every=1)
+        return fit(train_ds, valid_ds, config, str(out_dir))
+
+    done = run(2, tmp_path / "two")
+    if target == "train_step":
+        monkeypatch.setattr(training, "train_step", _raise_on_call(7, exc, train_step))
+    else:
+        monkeypatch.setattr(os, "replace", _raise_on_call(3, exc, os.replace))
+    stopped = tmp_path / "stopped"
+    with pytest.raises(type(exc)):
+        run(6, stopped)
+    assert sorted(os.listdir(stopped)) == ["best.ckpt", "train_log.jsonl"]
+    with open(done.log_path, "rb") as fh:
+        assert (stopped / "train_log.jsonl").read_bytes() == fh.read()
+    assert len(done.log) == 2
+    with open(done.best_path, "rb") as fh:
+        assert (stopped / "best.ckpt").read_bytes() == fh.read()
 
 
 def test_fit_rejects_feature_width_mismatch(tmp_path):
