@@ -1,9 +1,17 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Scope is deliberately small: exactly the operations the denoise network
-and the ranking losses need, nothing else. Tensors wrap numpy arrays and
-remember their parents, so a backward pass is a reverse topological walk
-over the graph built by the forward pass.
+and the ranking losses need, nothing else. A Tensor wraps a numpy array;
+an op whose inputs need gradients also gives its result a graph node, and
+a backward pass is a reverse topological walk over those nodes.
+
+The graph holds no values of its own. A node keeps its parents, the
+backward closure, its gradient while backward runs, and the shape and
+dtype that gradient takes; each closure captures only the arrays its
+backward reads (a matmul's operands, a layer norm's normalized input, a
+dropout's boolean mask). A value that no backward reads, such as a
+residual sum or a dropout output, is freed as soon as the caller drops
+its Tensor, however long the graph lives.
 
 Conventions:
   * add/mul/sub broadcast only a single-element operand, or a (1, d)
@@ -11,12 +19,14 @@ Conventions:
     ShapeError naming both shapes.
   * softmax normalizes the last axis.
   * backward(loss) requires a single-element tensor and consumes the
-    graph: each node's closure, parents and .grad are released as soon
+    graph: each node's closure, parents and gradient are released as soon
     as its gradient has passed to its parents, so a graph is traversed
     exactly once and intermediate gradients never pile up. Only leaves
     (requires_grad=True and no producing op, such as model parameters)
     keep .grad, which accumulates across separate graphs until the
     caller resets it.
+  * under no_grad an op builds no node, so its result holds its value
+    and nothing else.
 """
 
 from __future__ import annotations
@@ -49,8 +59,24 @@ def no_grad():
         _GRAD_STATE.enabled = prev
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+class _Sink:
+    """Where a gradient lands: a leaf tensor's .grad or a graph node's."""
+
+    __slots__ = ()
+
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to .grad. fresh: g is a new array that nothing else
+        holds, so it may become .grad without a copy."""
+        if self.grad is not None:
+            self.grad += g
+        elif fresh and g.dtype == self.dtype and g.shape == self.shape:
+            self.grad = g
+        else:
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
+
+
+class Tensor(_Sink):
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -59,8 +85,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
@@ -73,32 +98,49 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add g to .grad. fresh: g is a new array that no other tensor
-        holds, so it may become .grad without a copy."""
-        if self.grad is not None:
-            self.grad += g
-        elif fresh and g.dtype == self.data.dtype and g.shape == self.data.shape:
-            self.grad = g
-        else:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
+
+
+class _Node(_Sink):
+    """The graph side of an op's result. _parents holds one sink per
+    input, in input order: the input's node, the input itself when it is
+    a leaf that requires a gradient, or None. _backward(g, *_parents)
+    passes the result's gradient g on to them."""
+
+    __slots__ = ("_parents", "_backward", "grad", "shape", "dtype")
+
+    def __init__(self, parents, backward_fn, shape, dtype):
+        self._parents = parents
+        self._backward = backward_fn
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data, parents, backward_fn) -> Tensor:
+def _sink_of(t: Tensor):
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _result(data, inputs, backward_fn) -> Tensor:
+    """Wrap an op's output. backward_fn(g, *sinks) must not reference the
+    input tensors, only the arrays its backward reads, so the node keeps
+    nothing else alive."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    tracked = _grad_enabled() and any(p.requires_grad for p in parents)
-    out.requires_grad = tracked
-    out._parents = tuple(parents) if tracked else ()
-    out._backward = backward_fn if tracked else None
+    out._node = None
+    if _grad_enabled():
+        sinks = tuple(_sink_of(t) for t in inputs)
+        if any(s is not None for s in sinks):
+            out._node = _Node(sinks, backward_fn, data.shape, data.dtype)
+    out.requires_grad = out._node is not None
     return out
 
 
@@ -118,9 +160,13 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(
             f"backward requires a single-element tensor, got shape {loss.data.shape}"
         )
+    root = loss._node
+    if root is None:  # a leaf, or a value no graph produced
+        loss._accumulate(np.ones_like(loss.data))
+        return
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -131,19 +177,19 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if type(p) is _Node and id(p) not in seen:
                 stack.append((p, False))
-    loss._accumulate(np.ones_like(loss.data))
+    root._accumulate(np.ones_like(loss.data))
     # popping drops topo's reference to each node as it runs, so a node's
     # closure, saved arrays and gradient are freed once its parents hold
     # that gradient
     while topo:
         node = topo.pop()
         if node._backward is not None:
-            node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
-            node.grad = None
+            node._backward(node.grad, *node._parents)
+        node._backward = None
+        node._parents = ()
+        node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -162,72 +208,75 @@ def _binary_shapes(a: Tensor, b: Tensor, opname: str):
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b, "add")
-    data = a.data + b.data
 
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g, b.data.shape))
+    def back(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(_reduce_to(g, sa.shape))
+        if sb is not None:
+            sb._accumulate(_reduce_to(g, sb.shape))
 
-    return _result(data, (a, b), back)
+    return _result(a.data + b.data, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b, "sub")
-    data = a.data - b.data
 
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(-g, b.data.shape))
+    def back(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(_reduce_to(g, sa.shape))
+        if sb is not None:
+            sb._accumulate(_reduce_to(-g, sb.shape))
 
-    return _result(data, (a, b), back)
+    return _result(a.data - b.data, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b, "mul")
-    data = a.data * b.data
+    # each operand's gradient reads only the other operand
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.data.shape), fresh=True)
+    def back(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(_reduce_to(g * bv, sa.shape), fresh=True)
+        if sb is not None:
+            sb._accumulate(_reduce_to(g * av, sb.shape), fresh=True)
 
-    return _result(data, (a, b), back)
+    return _result(a.data * b.data, (a, b), back)
+
+
+def _matmul_shapes(a: Tensor, b: Tensor, opname: str):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(
+            f"{opname}: incompatible shapes {a.data.shape} and {b.data.shape}"
+        )
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
-        )
-    data = a.data @ b.data
+    _matmul_shapes(a, b, "matmul")
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T, fresh=True)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g, fresh=True)
+    def back(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(g @ bv.T, fresh=True)
+        if sb is not None:
+            sb._accumulate(av.T @ g, fresh=True)
 
-    return _result(data, (a, b), back)
+    return _result(a.data @ b.data, (a, b), back)
 
 
 def scale(x, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
-    data = x.data * c
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g * c)
+    def back(g, sx):
+        sx._accumulate(g * c)
 
-    return _result(data, (x,), back)
+    return _result(x.data * c, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +290,22 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
         raise ShapeError(
             f"slice_cols: range [{start}, {stop}) invalid for shape {x.data.shape}"
         )
-    data = x.data[..., start:stop].copy()
 
-    def back(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[..., start:stop] = g
-            x._accumulate(full)
+    def back(g, sx):
+        full = np.zeros(sx.shape, dtype=sx.dtype)
+        full[..., start:stop] = g
+        sx._accumulate(full)
 
-    return _result(data, (x,), back)
+    return _result(x.data[..., start:stop].copy(), (x,), back)
 
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.reshape(shape)
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
+    def back(g, sx):
+        sx._accumulate(g.reshape(sx.shape))
 
-    return _result(data, (x,), back)
+    return _result(x.data.reshape(shape), (x,), back)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -275,15 +320,13 @@ def embedding_lookup(table, indices) -> Tensor:
         raise ShapeError(
             f"embedding_lookup: index out of range for table shape {table.data.shape}"
         )
-    data = table.data[idx].copy()
 
-    def back(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            table._accumulate(full)
+    def back(g, st):
+        full = np.zeros(st.shape, dtype=st.dtype)
+        np.add.at(full, idx, g)
+        st._accumulate(full)
 
-    return _result(data, (table,), back)
+    return _result(table.data[idx].copy(), (table,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +335,17 @@ def embedding_lookup(table, indices) -> Tensor:
 
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
+    xv = x.data
     # max(x, 0) + log1p(exp(-|x|)): finite for large |x|, and computed in
     # place it costs a fraction of logaddexp(0, x)
-    data = np.abs(x.data, out=np.empty_like(x.data))
+    data = np.abs(xv, out=np.empty_like(xv))
     np.negative(data, out=data)
     np.exp(data, out=data)
     np.log1p(data, out=data)
-    data += np.maximum(x.data, 0.0)
+    data += np.maximum(xv, 0.0)
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g * _sigmoid(x.data), fresh=True)
+    def back(g, sx):
+        sx._accumulate(g * _sigmoid(xv), fresh=True)
 
     return _result(data, (x,), back)
 
@@ -320,24 +363,22 @@ def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     data = _sigmoid(x.data)
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g * data * (1.0 - data))
+    def back(g, sx):
+        sx._accumulate(g * data * (1.0 - data))
 
     return _result(data, (x,), back)
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
-    if np.any(x.data <= 0):
+    xv = x.data
+    if np.any(xv <= 0):
         raise DomainError("log: input has non-positive entries")
-    data = np.log(x.data)
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g / x.data)
+    def back(g, sx):
+        sx._accumulate(g / xv)
 
-    return _result(data, (x,), back)
+    return _result(np.log(xv), (x,), back)
 
 
 def sqrt(x) -> Tensor:
@@ -346,9 +387,8 @@ def sqrt(x) -> Tensor:
         raise DomainError("sqrt: input has non-positive entries")
     data = np.sqrt(x.data)
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / data)
+    def back(g, sx):
+        sx._accumulate(g * 0.5 / data)
 
     return _result(data, (x,), back)
 
@@ -359,9 +399,8 @@ def reciprocal(x) -> Tensor:
         raise DomainError("reciprocal: input has zero entries")
     data = 1.0 / x.data
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(-g * data * data)
+    def back(g, sx):
+        sx._accumulate(-g * data * data)
 
     return _result(data, (x,), back)
 
@@ -373,10 +412,9 @@ def softmax(x) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def back(g):
-        if x.requires_grad:
-            inner = (g * data).sum(axis=-1, keepdims=True)
-            x._accumulate((g - inner) * data)
+    def back(g, sx):
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        sx._accumulate((g - inner) * data)
 
     return _result(data, (x,), back)
 
@@ -392,9 +430,8 @@ def tensor_sum(x, axis=None) -> Tensor:
     else:
         data = x.data.sum(axis=axis, keepdims=True)
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
+    def back(g, sx):
+        sx._accumulate(np.broadcast_to(g, sx.shape).copy())
 
     return _result(data, (x,), back)
 
@@ -403,13 +440,11 @@ def tensor_mean(x) -> Tensor:
     """Mean over every entry, as a single-element tensor."""
     x = _as_tensor(x)
     count = x.data.size
-    data = np.asarray(x.data.mean())
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.data.shape) / count)
+    def back(g, sx):
+        sx._accumulate(np.broadcast_to(g, sx.shape) / count)
 
-    return _result(data, (x,), back)
+    return _result(np.asarray(x.data.mean()), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +466,7 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"layer_norm: affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match input {x.data.shape}"
         )
+    gv = gain.data
     # center once: the variance is the row mean of the squared centered
     # rows, bit for bit what x.var computes, and xhat scales them in place
     mu = x.data.mean(axis=1, keepdims=True)
@@ -438,18 +474,18 @@ def layer_norm(x, gain, bias) -> Tensor:
     var = (xhat * xhat).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
-    data = gain.data * xhat + bias.data
+    data = gv * xhat + bias.data
 
-    def back(g):
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            gx_hat = g * gain.data
+    def back(g, sx, sgain, sbias):
+        if sbias is not None:
+            sbias._accumulate(g.sum(axis=0, keepdims=True))
+        if sgain is not None:
+            sgain._accumulate((g * xhat).sum(axis=0, keepdims=True))
+        if sx is not None:
+            gx_hat = g * gv
             row_mean = gx_hat.mean(axis=1, keepdims=True)
             row_proj = (gx_hat * xhat).mean(axis=1, keepdims=True)
-            x._accumulate(inv * (gx_hat - row_mean - xhat * row_proj), fresh=True)
+            sx._accumulate(inv * (gx_hat - row_mean - xhat * row_proj), fresh=True)
 
     return _result(data, (x, gain, bias), back)
 
@@ -483,6 +519,7 @@ def attention(q, k, v, segments, heads: int) -> Tensor:
     c = 1.0 / math.sqrt(dh)
     ends = np.cumsum(lengths).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
+    qv, kv, vv = q.data, k.data, v.data
 
     def split(x, lo, hi):  # rows [lo, hi) of (N, d) as (heads, n, dh)
         return x[lo:hi].reshape(hi - lo, heads, dh).transpose(1, 0, 2)
@@ -490,33 +527,33 @@ def attention(q, k, v, segments, heads: int) -> Tensor:
     def merge(x):  # (heads, n, dh) back to (n, d)
         return x.transpose(1, 0, 2).reshape(-1, d)
 
-    data = np.empty_like(q.data)
+    data = np.empty_like(qv)
     probs = []
     for lo, hi in bounds:
         # A contiguous K^T gives each head the BLAS call of a 2-d q @ k.T,
         # so a lone segment sums in the same order as unbatched heads.
-        kt = np.ascontiguousarray(split(k.data, lo, hi).transpose(0, 2, 1))
-        s = (split(q.data, lo, hi) @ kt) * c
+        kt = np.ascontiguousarray(split(kv, lo, hi).transpose(0, 2, 1))
+        s = (split(qv, lo, hi) @ kt) * c
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
-        data[lo:hi] = merge(s @ split(v.data, lo, hi))
+        data[lo:hi] = merge(s @ split(vv, lo, hi))
         probs.append(s)
 
-    def back(g):
-        gq, gk, gv = (np.empty_like(q.data) for _ in range(3))
+    def back(g, *sinks):
+        gq, gk, gv = (np.empty_like(qv) for _ in range(3))
         for (lo, hi), p in zip(bounds, probs):
             go = split(g, lo, hi)
             gv[lo:hi] = merge(p.transpose(0, 2, 1) @ go)
-            gs = go @ split(v.data, lo, hi).transpose(0, 2, 1)
+            gs = go @ split(vv, lo, hi).transpose(0, 2, 1)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= c
-            gq[lo:hi] = merge(gs @ split(k.data, lo, hi))
-            gk[lo:hi] = merge(gs.transpose(0, 2, 1) @ split(q.data, lo, hi))
-        for t, gt in ((q, gq), (k, gk), (v, gv)):
-            if t.requires_grad:
-                t._accumulate(gt, fresh=True)
+            gq[lo:hi] = merge(gs @ split(kv, lo, hi))
+            gk[lo:hi] = merge(gs.transpose(0, 2, 1) @ split(qv, lo, hi))
+        for sink, gt in zip(sinks, (gq, gk, gv)):
+            if sink is not None:
+                sink._accumulate(gt, fresh=True)
 
     return _result(data, (q, k, v), back)
 
@@ -526,24 +563,50 @@ def dropout(x, p: float, rng: np.random.Generator | None = None) -> Tensor:
     from rng, and scaled by 1/(1-p).
 
     With p = 0 or no rng (inference) this is the identity and returns the
-    input tensor unchanged.
+    input tensor unchanged. The graph keeps the kept entries as a boolean
+    mask; backward rebuilds the scaled float mask by the forward's own
+    two steps, so the gradient is the same bits as from a saved one.
     """
     x = _as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout: p must lie in [0, 1), got {p}")
     if p == 0.0 or rng is None:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    keep *= 1.0 / (1.0 - p)
-    data = x.data * keep
+    mask = rng.random(x.data.shape) >= p
+    dtype = x.data.dtype
 
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g * keep, fresh=True)
+    def masked(values):
+        keep = mask.astype(dtype)
+        keep *= 1.0 / (1.0 - p)
+        keep *= values
+        return keep
 
-    return _result(data, (x,), back)
+    def back(g, sx):
+        sx._accumulate(masked(g), fresh=True)
+
+    return _result(masked(x.data), (x,), back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w plus a (1, width) bias row. Composition of primitive ops."""
-    return add(matmul(x, w), b)
+def linear(x, w, b) -> Tensor:
+    """x @ w plus a (1, width) bias row, as one graph node: the bias is
+    added in place, so the graph never holds the product before it."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _matmul_shapes(x, w, "linear")
+    if b.data.shape != (1, w.data.shape[1]):
+        raise ShapeError(
+            f"linear: bias shape {b.data.shape} is not a (1, {w.data.shape[1]}) row"
+        )
+    xv = x.data if w.requires_grad else None
+    wv = w.data if x.requires_grad else None
+    data = x.data @ w.data
+    data += b.data
+
+    def back(g, sx, sw, sb):
+        if sx is not None:
+            sx._accumulate(g @ wv.T, fresh=True)
+        if sw is not None:
+            sw._accumulate(xv.T @ g, fresh=True)
+        if sb is not None:
+            sb._accumulate(_reduce_to(g, sb.shape))
+
+    return _result(data, (x, w, b), back)

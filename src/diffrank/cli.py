@@ -28,6 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .config import PRESETS, RunConfig, resolve_config
 from .errors import ConfigError, DataError, DiffrankError, IncompatibilityError
 from .gradcheck import GRAD_TOL, run_all_checks
@@ -108,7 +109,7 @@ def _write_text(path: str, text: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

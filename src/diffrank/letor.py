@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import (
     CacheCorruptionError,
     DataError,
@@ -396,7 +397,7 @@ def normalize(ds: Dataset, stats: NormStats) -> Dataset:
 def write_letor(ds: Dataset, path: str) -> None:
     """Serialize back to the text format (full dense feature lists)."""
     qid_of_row = np.repeat(ds.qids, ds.counts).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for label, qid, row in zip(ds.labels.tolist(), qid_of_row, ds.features.tolist()):
             feats = " ".join(f"{fid}:{val!r}" for fid, val in enumerate(row, start=1))
             fh.write(f"{label} qid:{qid} {feats}\n")
@@ -415,7 +416,7 @@ _DATA_START = len(_MAGIC) + _HEADER.size
 def cache_write(ds: Dataset, path: str) -> None:
     stats = [] if ds.norm_stats is None else [ds.norm_stats.mean, ds.norm_stats.std]
     blocks = stats + [ds.qids, ds.counts, ds.doc_index, ds.features, ds.labels]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(_CACHE_VERSION, len(stats) // 2, ds.k, ds.num_queries, ds.num_docs))
         for block in blocks:

@@ -35,16 +35,15 @@ parameter blobs in manifest order.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from ._atomic import atomic_write
 from .autodiff import Tensor
 from .errors import (
     CacheCorruptionError,
@@ -354,23 +353,12 @@ def save_checkpoint(model: DenoiseModel, path: str) -> None:
         "params": [{"name": n, "shape": list(model.params[n].data.shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    # written beside the target and renamed over it, so a crash mid-write
-    # leaves the previous checkpoint whole
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<IQ", _CKPT_VERSION, len(blob)))
-            fh.write(blob)
-            for n in names:
-                fh.write(np.ascontiguousarray(model.params[n].data).tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<IQ", _CKPT_VERSION, len(blob)))
+        fh.write(blob)
+        for n in names:
+            fh.write(np.ascontiguousarray(model.params[n].data).tobytes())
 
 
 def _manifest(manifest, expected: dict[str, tuple[int, int]], path: str):

@@ -18,6 +18,8 @@ import pytest
 from diffrank import autodiff as ad
 from diffrank.errors import DomainError, ShapeError
 from diffrank.gradcheck import OP_CASES, check_gradients, relative_error
+from diffrank.network import DenoiseModel, ModelConfig
+from diffrank.schedule import ScheduleSpec
 
 TOL = 1e-4
 
@@ -128,6 +130,12 @@ class TestErrors:
         with pytest.raises(ShapeError):
             ad.attention(x, x, x, [5], heads=3)
 
+    @pytest.mark.parametrize("bias", [(5,), (3, 5), (1, 4)])
+    def test_linear_rejects_a_bias_that_is_not_one_row(self, bias):
+        x, w = ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones((2, 5)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, ad.Tensor(np.ones(bias)))
+
     def test_dropout_rejects_bad_probability(self):
         with pytest.raises(DomainError):
             ad.dropout(ad.Tensor([1.0]), 1.0, np.random.default_rng(0))
@@ -180,7 +188,7 @@ class TestDeterminism:
         x = _leaf(np.ones((2, 2)))
         with ad.no_grad():
             out = ad.mul(x, x)
-        assert not out.requires_grad and out._parents == ()
+        assert not out.requires_grad and out._node is None
 
 
 def _op_cases(rng):
@@ -483,3 +491,99 @@ def test_backward_frees_the_graph_as_it_walks(rng):
     assert peak - start < 4 * x.data.nbytes
     assert x.grad is not None and x.grad.shape == x.data.shape
     assert np.all(np.isfinite(x.grad)) and np.all(x.grad > 0)
+
+
+def _packed_model_batch():
+    """A small float64 model with dropout on, and a packed three-query
+    batch: features, noisy labels, per-query timesteps, segment lengths."""
+    cfg = ModelConfig(k=6, d_model=16, heads=2, blocks=2, denoise_layers=3, dropout_p=0.2)
+    model = DenoiseModel(cfg, ScheduleSpec(timesteps=50), dtype="float64", seed=0)
+    rng = np.random.default_rng(0)
+    lengths = np.array([30, 50, 20])
+    rows = int(lengths.sum())
+    batch = (
+        rng.standard_normal((rows, cfg.k)),
+        rng.standard_normal(rows),
+        np.array([3, 17, 40]),
+        lengths,
+    )
+    return model, batch
+
+
+def test_forward_graph_holds_only_what_backward_reads():
+    """Bytes allocated by a training forward pass and still held when
+    backward would start. Per row, what backward reads is about 52
+    d_model-wide float64 rows: in each of the two blocks the layer norms'
+    normalized inputs and outputs, q, k, v and the attention output, the
+    attention probabilities (heads x segment length, 4.75 widths here),
+    the FFN's 4-wide pre- and post-activation, and two boolean dropout
+    masks; then the output norm, and in the head each softplus input, its
+    masked output and the timestep gate. Keeping the pre-bias products,
+    the residual sums or float masks as well adds 6 widths or more."""
+    model, (feats, y_t, steps, lengths) = _packed_model_batch()
+    width_bytes = model.config.d_model * 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        y_hat = model.predict_y0(
+            feats, y_t, t=steps, segments=lengths, rng=np.random.default_rng(1)
+        )
+        loss = ad.tensor_mean(ad.mul(y_hat, y_hat))
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held / feats.shape[0] < 58 * width_bytes
+    ad.backward(loss)
+    assert all(p.grad is not None for p in model.parameters())
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_linear_matches_matmul_plus_bias_bit_for_bit(rng, dtype):
+    arrays = [
+        rng.standard_normal(shape).astype(dtype) for shape in ((37, 19), (19, 23), (1, 23))
+    ]
+    weight = ad.Tensor(rng.standard_normal((37, 23)).astype(dtype))
+
+    def run(op):
+        leaves = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        ad.backward(ad.tensor_sum(ad.mul(out, weight)))
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    fused = run(ad.linear)
+    composed = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    for got, want in zip(fused, composed):
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_dropout_matches_the_float_mask_formula_bit_for_bit(rng, dtype):
+    x = rng.standard_normal((41, 13)).astype(dtype)
+    g = rng.standard_normal((41, 13)).astype(dtype)
+    p = 0.3
+    keep = (np.random.default_rng(5).random(x.shape) >= p).astype(dtype)
+    keep *= 1.0 / (1.0 - p)
+    leaf = ad.Tensor(x, requires_grad=True)
+    out = ad.dropout(leaf, p, np.random.default_rng(5))
+    ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(g))))
+    assert out.data.dtype == leaf.grad.dtype == np.dtype(dtype)
+    assert np.array_equal(out.data, x * keep)
+    assert np.array_equal(leaf.grad, g * keep)
+
+
+def test_no_grad_forward_builds_no_node(monkeypatch):
+    model, (feats, y_t, steps, lengths) = _packed_model_batch()
+    built = []
+    real_node = ad._Node
+
+    def counted(*args):
+        built.append(1)
+        return real_node(*args)
+
+    monkeypatch.setattr(ad, "_Node", counted)
+    with ad.no_grad():
+        y_hat = model.predict_y0(feats, y_t, t=steps, segments=lengths)
+    assert not y_hat.requires_grad and y_hat._node is None and not built
+    y_hat = model.predict_y0(feats, y_t, t=steps, segments=lengths)
+    assert y_hat.requires_grad and y_hat._node is not None and built

@@ -511,6 +511,36 @@ def test_unwritable_output_path_exits_3(workspace, tmp_path, capsys):
     assert str(tmp_path) in err and "Is a directory" in err
 
 
+def test_report_write_failing_midway_leaves_the_previous_report(tmp_path):
+    path = tmp_path / "metrics.csv"
+    cli._write_text(str(path), "cutoff,ndcg\n10,0.5\n")
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails partway
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_text(str(path), "cutoff,ndcg\n" * 5000 + "\ud800")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+
+@pytest.mark.parametrize("target", ["cache", "report"])
+def test_directory_in_place_of_an_output_exits_3_naming_it(workspace, tmp_path, capsys, target):
+    if target == "cache":
+        path = tmp_path / "caches" / "train.cache"
+        path.mkdir(parents=True)
+        code = cli.main([
+            "prepare", "--train", str(workspace["root"] / "train.txt"),
+            "--out-dir", str(path.parent),
+        ])
+    else:
+        path = tmp_path / "metrics.csv"
+        path.mkdir()
+        code = _evaluate(workspace, path)
+    assert code == 3
+    assert _one_error(capsys) == f"error: {path}: Is a directory\n"
+    assert path.is_dir() and not list(path.iterdir())
+    assert not path.with_name(path.name + ".tmp").exists()
+
+
 def test_train_rejects_unknown_set_key(capsys):
     assert cli.main(["train", "--set", "bogus_key=1"]) == 2
     assert "bogus_key" in capsys.readouterr().err
@@ -908,9 +938,10 @@ def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
 
     def corrupted(x):
         out = real_softplus(x)
-        inner = out._backward
-        if inner is not None:
-            out._backward = lambda g: inner(g * 1.01)
+        node = out._node
+        if node is not None:
+            inner = node._backward
+            node._backward = lambda g, *sinks: inner(g * 1.01, *sinks)
         return out
 
     monkeypatch.setattr("diffrank.autodiff.softplus", corrupted)

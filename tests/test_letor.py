@@ -318,6 +318,26 @@ class TestCache:
         letor.cache_write(ds, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_write_failing_midway_leaves_the_previous_cache(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "ds.cache"
+        letor.cache_write(_random_dataset(rng), str(path))
+        before = path.read_bytes()
+        real = np.ascontiguousarray
+        blocks = []
+
+        def fail_on_third_block(*args, **kwargs):
+            blocks.append(1)
+            if len(blocks) == 3:
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_block)
+        with pytest.raises(OSError):
+            letor.cache_write(_random_dataset(rng, n_queries=9), str(path))
+        assert len(blocks) == 3
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.cache"]
+
     def test_wrong_magic_is_incompatibility(self, rng, tmp_path):
         path = str(tmp_path / "ds.cache")
         letor.cache_write(_random_dataset(rng), path)
