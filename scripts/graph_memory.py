@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Memory the training graph holds when backward starts.
 
-Runs one `train_step` at each of two shapes and prints what tracemalloc
+Runs one `train_step` at each of three shapes and prints what tracemalloc
 counts as allocated since the step began, read as backward is called:
 the arrays the forward pass left for backward, plus the step's packed
 inputs and per-query draws. It has no options:
@@ -14,6 +14,9 @@ inputs and per-query draws. It has no options:
 * web30k: 128 queries with lognormal list lengths (median 110, sigma 0.6,
   clipped to [5, 1300]) on the command line's default model for k = 136
   features (d_model 128, lists capped at 512 rows), float32.
+* longest: one list at that cap, 512 documents, on the same model: the
+  most one query can hold. Its attention probabilities alone are 3 blocks
+  x 4 heads x 512^2 float32 values, 12.6 MB.
 
 Feature and label values are random: the memory depends on the shapes
 alone. The web30k step holds about 1 GB at its peak.
@@ -49,11 +52,19 @@ def benchmark_shape():
     return lengths[order[: stages.BATCH]], stages.train_config(SEED)
 
 
+def default_config() -> training.TrainConfig:
+    return training.TrainConfig(model=ModelConfig(k=K), schedule=ScheduleSpec())
+
+
 def web30k_shape():
     rng = np.random.default_rng(SEED)
     lengths = np.clip(np.round(110.0 * np.exp(0.6 * rng.standard_normal(128))), 5, 1300)
-    config = training.TrainConfig(model=ModelConfig(k=K), schedule=ScheduleSpec())
-    return lengths.astype(np.int64), config
+    return lengths.astype(np.int64), default_config()
+
+
+def longest_shape():
+    config = default_config()
+    return np.array([config.max_list_size]), config
 
 
 def held_before_backward(lengths: np.ndarray, config: training.TrainConfig) -> tuple[int, int]:
@@ -89,7 +100,8 @@ def held_before_backward(lengths: np.ndarray, config: training.TrainConfig) -> t
 
 def main() -> int:
     print(f"{'shape':<10} {'rows':>6} {'d_model':>7} {'held MB':>8} {'KB/row':>7}")
-    for name, shape in (("benchmark", benchmark_shape), ("web30k", web30k_shape)):
+    shapes = (("benchmark", benchmark_shape), ("web30k", web30k_shape), ("longest", longest_shape))
+    for name, shape in shapes:
         lengths, config = shape()
         rows, held = held_before_backward(lengths, config)
         print(

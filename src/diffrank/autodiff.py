@@ -80,7 +80,7 @@ class Tensor(_Sink):
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
@@ -533,7 +533,8 @@ def attention(q, k, v, segments, heads: int) -> Tensor:
         # A contiguous K^T gives each head the BLAS call of a 2-d q @ k.T,
         # so a lone segment sums in the same order as unbatched heads.
         kt = np.ascontiguousarray(split(kv, lo, hi).transpose(0, 2, 1))
-        s = (split(qv, lo, hi) @ kt) * c
+        s = split(qv, lo, hi) @ kt
+        s *= c  # in place: a second (heads, n, n) array would double the peak
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)

@@ -39,41 +39,49 @@ def _depth(n: int, k) -> int:
     return n if k == "ALL" else min(int(k), n)
 
 
-def _curves(labels: np.ndarray, order: np.ndarray) -> dict[str, np.ndarray]:
+def _permutation(orders, shape: tuple) -> np.ndarray:
+    """orders as an int64 array of the given shape, one ranking or a stack
+    of them, once each ranking along the last axis is checked to permute
+    0..n-1."""
+    arr = np.asarray(orders)
+    n = shape[-1]
+    if arr.shape != shape or not (np.sort(arr, axis=-1) == np.arange(n)).all():
+        raise ValueError(f"a ranking of {n} documents must permute 0..{n - 1}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _curves(labels: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Every metric of one ranking at every depth 1..n, from running sums.
 
-    Entry d - 1 of each curve is the metric at cutoff d. Sums run in rank
-    order, as a loop over the ranks would add them.
+    Row i holds metric METRICS[i]; its entry d - 1 is the metric at cutoff
+    d. Sums run in rank order, as a loop over the ranks would add them.
+    labels is a float64 array and order must have passed _permutation.
     """
-    labels = np.asarray(labels, dtype=np.float64)
     ordered = labels[order]
     gains = 2.0**ordered - 1.0
     ranks = np.arange(1.0, labels.size + 1.0)
     log_ranks = np.log2(1.0 + ranks)
-    dcg = np.cumsum(gains / log_ranks)
-    idcg = np.cumsum((2.0 ** np.sort(labels)[::-1] - 1.0) / log_ranks)
+    dcg = (gains / log_ranks).cumsum()
+    idcg = (np.sort(gains)[::-1] / log_ranks).cumsum()
     # ERR: r is each rank's stopping chance; reach the chance of getting there
     r = gains / 2.0**MAX_LABEL
-    reach = np.cumprod(np.concatenate(([1.0], 1.0 - r[:-1])))
+    reach = np.concatenate(([1.0], 1.0 - r[:-1])).cumprod()
     rel = ordered > 0
-    hits = np.cumsum(rel)
-    precision = hits / ranks
-    return {
-        "ndcg": np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0),
-        "err": np.cumsum(reach * r / ranks),
-        "map": np.divide(
-            np.cumsum(np.where(rel, precision, 0.0)),
-            hits,
-            out=np.zeros_like(precision),
-            where=hits > 0,
-        ),
-        "mrr": np.maximum.accumulate(np.where(rel, 1.0 / ranks, 0.0)),
-        "precision": precision,
-    }
+    hits = rel.cumsum()
+    curves = np.zeros((len(METRICS), labels.size))
+    ndcg, err, ap, rr, precision = curves  # METRICS order
+    np.divide(dcg, idcg, out=ndcg, where=idcg != 0.0)
+    (reach * r / ranks).cumsum(out=err)
+    np.divide(hits, ranks, out=precision)
+    np.divide(np.where(rel, precision, 0.0).cumsum(), hits, out=ap, where=hits > 0)
+    np.maximum.accumulate(np.where(rel, 1.0 / ranks, 0.0), out=rr)
+    return curves
 
 
 def _at_k(name: str, labels: np.ndarray, order: np.ndarray, k) -> float:
-    return float(_curves(labels, order)[name][_depth(np.size(labels), k) - 1])
+    labels = np.asarray(labels, dtype=np.float64)
+    curves = _curves(labels, _permutation(order, (labels.size,)))
+    return float(curves[METRICS.index(name), _depth(labels.size, k) - 1])
 
 
 def ndcg_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
@@ -99,15 +107,17 @@ def precision_at_k(labels: np.ndarray, order: np.ndarray, k) -> float:
 
 
 def ranking_diversity(orders: list[np.ndarray], k) -> float:
-    """Fraction of distinct length-k ranking prefixes among repeated runs."""
-    if not orders:
+    """Fraction of distinct length-k ranking prefixes among repeated runs.
+
+    orders is a list of rankings (arrays or lists) or one (runs, n) array.
+    """
+    if len(orders) == 0:
         raise ValueError("ranking_diversity needs at least one ranking")
     n = len(orders[0])
-    for o in orders:
-        if sorted(o) != list(range(n)):
-            raise ValueError("each ranking must permute the same document set")
-    depth = _depth(n, k)
-    prefixes = {tuple(int(i) for i in o[:depth]) for o in orders}
+    if any(len(o) != n for o in orders):
+        raise ValueError(f"each ranking must permute the same {n} documents")
+    runs = _permutation(orders, (len(orders), n))
+    prefixes = {run.tobytes() for run in runs[:, : _depth(n, k)]}
     return len(prefixes) / len(orders)
 
 
@@ -124,25 +134,39 @@ def evaluate_rankings(
     orders: list[np.ndarray],
     cutoffs=DEFAULT_CUTOFFS,
 ) -> MetricsReport:
+    """Mean of each metric at each cutoff over the queries with a nonzero
+    label. Each mean equals np.mean of that metric's per-query values.
+
+    Raises ValueError for a cutoff below 1, for label and order lists of
+    different lengths, and for an order that does not permute 0..n-1.
+    """
     report = MetricsReport(cutoffs=list(cutoffs))
-    per_query = {name: {k: [] for k in cutoffs} for name in METRICS}
     for k in cutoffs:  # also when no query is scored
         _depth(1, k)
+    if len(labels_list) != len(orders):
+        raise ValueError(
+            f"{len(labels_list)} label arrays but {len(orders)} rankings; "
+            "each query needs one of each"
+        )
+    rows = []  # per scored query: the METRICS x cutoffs values, metric-major
     for labels, order in zip(labels_list, orders):
         labels = np.asarray(labels, dtype=np.float64)
+        order = _permutation(order, (labels.size,))
         if labels.max(initial=0.0) == 0.0:
             report.n_excluded += 1
             continue
-        report.n_queries += 1
-        curves = _curves(labels, order)
-        for name in METRICS:
-            for k in cutoffs:
-                value = curves[name][_depth(labels.size, k) - 1]
-                per_query[name][k].append(float(value))
-    for name in METRICS:
-        report.values[name] = {
-            k: float(np.mean(vals)) if vals else 0.0 for k, vals in per_query[name].items()
-        }
+        at = [_depth(labels.size, k) - 1 for k in cutoffs]
+        rows.append(_curves(labels, order)[:, at].reshape(-1))
+    report.n_queries = len(rows)
+    means = np.zeros(len(METRICS) * len(cutoffs))
+    if rows:
+        # One C-contiguous row per (metric, cutoff), so numpy sums each row
+        # pairwise in query order, as np.mean of that row's values alone
+        # does; a mean over axis 0 of the (queries, values) array rounds
+        # otherwise.
+        means = np.stack(rows, axis=1).mean(axis=1)
+    for name, row in zip(METRICS, means.reshape(len(METRICS), -1).tolist()):
+        report.values[name] = dict(zip(cutoffs, row))
     return report
 
 

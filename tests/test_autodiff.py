@@ -537,6 +537,26 @@ def test_forward_graph_holds_only_what_backward_reads():
     assert all(p.grad is not None for p in model.parameters())
 
 
+def test_inference_attention_peak_is_one_score_array(rng):
+    """Under no_grad, attention over one 1,000-row segment (4 heads,
+    float32) peaks at about one (heads, n, n) score array: the scores are
+    scaled in place, where a scaled copy would hold two at once."""
+    n, heads = 1000, 4
+    q, k, v = (rng.standard_normal((n, 32)).astype(np.float32) for _ in range(3))
+    score_bytes = heads * n * n * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = ad.attention(q, k, v, [n], heads)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (n, 32)
+    assert peak - start < 1.5 * score_bytes
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_linear_matches_matmul_plus_bias_bit_for_bit(rng, dtype):
     arrays = [

@@ -122,6 +122,25 @@ class TestDiversity:
     def test_single_run(self):
         assert mt.ranking_diversity([np.array([1, 0])], 2) == 1.0
 
+    def test_lists_arrays_and_a_stacked_array_agree(self):
+        runs = [[0, 2, 1], [0, 1, 2], [0, 2, 1]]
+        as_arrays = [np.array(o, dtype=np.int32) for o in runs]
+        mixed = [runs[0], np.array(runs[1]), np.array(runs[2], dtype=np.int16)]
+        for k in (1, 2, 3):
+            expect = mt.ranking_diversity(runs, k)
+            assert mt.ranking_diversity(as_arrays, k) == expect
+            assert mt.ranking_diversity(mixed, k) == expect
+            assert mt.ranking_diversity(np.array(runs), k) == expect
+        assert mt.ranking_diversity(runs, 2) == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize(
+        "bad", [[0, 1], [0, 1, 2, 3], [0, 1, 1], [0, 1, 3], [-1, 0, 1]]
+    )
+    def test_rejects_an_order_that_does_not_permute_the_first(self, bad):
+        for orders in ([[0, 1, 2], bad], [np.arange(3), np.array(bad)]):
+            with pytest.raises(ValueError):
+                mt.ranking_diversity(orders, 2)
+
 
 def _make_dataset(rng, n_queries=6, docs=5, k=3, zero_query=False):
     features = np.empty((n_queries, docs, k))
@@ -258,6 +277,55 @@ def test_metrics_match_loop_reference_on_long_lists_with_ties():
     for name, fn in AT_K.items():
         for k in cutoffs:
             assert report.values[name][k] == float(np.mean([fn(y, o, k) for y, o in kept]))
+
+
+def test_report_means_equal_np_mean_of_each_metric_bit_for_bit():
+    """Over more scored queries than numpy's 128-element summation block,
+    each reported mean is np.mean of that metric's per-query values, the
+    same bits; all-zero queries are counted and left out."""
+    rng = np.random.default_rng(26)
+    labels_list, orders = [], []
+    for n in rng.integers(1, 60, size=150):
+        labels = rng.integers(0, letor.MAX_LABEL + 1, size=n)
+        labels[rng.random(n) < 0.3] = 0
+        labels_list.append(labels)
+        orders.append(mt.ranking_order(rng.standard_normal(n)))
+    for i in (0, 40, 99):
+        labels_list[i] = np.zeros_like(labels_list[i])
+    cutoffs = (1, 3, 10, 30, "ALL")
+    report = mt.evaluate_rankings(labels_list, orders, cutoffs)
+    kept = [(y, o) for y, o in zip(labels_list, orders) if y.any()]
+    assert len(kept) >= 130
+    assert report.n_queries == len(kept)
+    assert report.n_excluded == len(labels_list) - len(kept)
+    assert list(report.values) == list(mt.METRICS)
+    for name, fn in AT_K.items():
+        assert list(report.values[name]) == list(cutoffs)
+        for k in cutoffs:
+            assert report.values[name][k] == float(np.mean([fn(y, o, k) for y, o in kept]))
+
+
+def test_report_with_no_scored_query_is_zero():
+    report = mt.evaluate_rankings([np.zeros(4), np.zeros(2)], [np.arange(4), [1, 0]], (1, "ALL"))
+    assert (report.n_queries, report.n_excluded) == (0, 2)
+    assert report.values == {name: {1: 0.0, "ALL": 0.0} for name in mt.METRICS}
+
+
+def test_evaluate_rankings_rejects_unmatched_or_invalid_orders():
+    labels = [np.array([1, 0, 2]), np.array([0, 3])]
+    with pytest.raises(ValueError, match="2 label arrays but 1 rankings"):
+        mt.evaluate_rankings(labels, [np.arange(3)])
+    with pytest.raises(ValueError, match="2 label arrays but 3 rankings"):
+        mt.evaluate_rankings(labels, [np.arange(3), np.arange(2), np.arange(2)])
+    # not permutations of 0..n-1, also for a query whose labels are all zero
+    for bad in ([2, 2, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="must permute"):
+            mt.evaluate_rankings(labels, [np.array(bad), np.arange(2)])
+        with pytest.raises(ValueError, match="must permute"):
+            mt.evaluate_rankings([np.zeros(3)], [bad])
+        for fn in AT_K.values():
+            with pytest.raises(ValueError, match="must permute"):
+                fn(labels[0], np.array(bad), 3)
 
 
 def test_cutoff_below_one_is_rejected():
